@@ -6,6 +6,7 @@ blank lines are ignored; command-line flags override file values.
 """
 
 import base64
+import contextlib
 import logging
 import os
 import stat
@@ -192,16 +193,45 @@ def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
         server.stop()
 
 
-def _build_world(cfg: dict, config: TrainingConfig):
-    """Assemble pool + designer from a config; simulated unless mode=socket."""
+def _read_config(path: str, simulated: bool) -> dict:
+    cfg = parse_config(path)
+    if simulated:
+        cfg["mode"] = "simulated"
+    return cfg
+
+
+@contextlib.contextmanager
+def _exit_codes(out: str | None = None):
+    """Turn a command's failure into its exit code; on a crash, the partial
+    metrics go to `out` when given."""
+    try:
+        yield
+    except (ConfigFileError, ConfigError) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
+    except CrashDetected as exc:
+        click.echo(f"crash detected: {exc}", err=True)
+        if out and exc.metrics is not None:  # partial rows plus the crash event
+            harness.write_metrics(out, exc.metrics)
+        sys.exit(EXIT_CRASH)
+    except OSError as exc:
+        click.echo(f"I/O error: {exc}", err=True)
+        sys.exit(EXIT_IO)
+
+
+@contextlib.contextmanager
+def _initialized_cascade(cfg: dict):
+    """Pool (simulated unless mode=socket) and designer per the config; then
+    provision, arm the fault plan, send the loop message and initialize the
+    model. Yields (designer, cascade, config) and tears the world down."""
+    config = _training_config(cfg)
     packet_len = int(cfg.get("packet_len", onion.DEFAULT_PACKET_LEN))
     chains = parse_model(cfg.get("model", TABLE_MODEL))
     model = nn.make_layer_specs(chains, config.seed)
+    remote = len(model) - int(config.hold_first_layer) - int(config.hold_last_layer)
     plan = ProvisionPlan(
-        n=int(cfg["n"]) if "n" in cfg else len(model)
-          - (1 if config.hold_first_layer else 0) - (1 if config.hold_last_layer else 0),
-        p=int(cfg["p"]) if "p" in cfg else len(model)
-          - (1 if config.hold_first_layer else 0) - (1 if config.hold_last_layer else 0),
+        n=int(cfg.get("n", remote)),
+        p=int(cfg.get("p", remote)),
         r=int(cfg.get("r", 0)),
         selection_seed=int(cfg.get("selection_seed", cfg.get("seed", 0))),
     )
@@ -222,22 +252,22 @@ def _build_world(cfg: dict, config: TrainingConfig):
         cleanup = channel.stop
     else:
         raise ConfigFileError(f"unknown mode {mode!r}")
-    designer = Designer(channel, gen_keypair())
-    records = dir_obj.list()
-    return designer, records, model, plan, pool, packet_len, cleanup
-
-
-def _run_training(cfg: dict):
-    config = _training_config(cfg)
-    designer, records, model, plan, pool, packet_len, cleanup = _build_world(cfg, config)
     try:
-        cascade = designer.provision(records, model, plan, config=config,
+        designer = Designer(channel, gen_keypair())
+        cascade = designer.provision(dir_obj.list(), model, plan, config=config,
                                      packet_len=packet_len)
         if pool is not None and "fault_plan" in cfg:
             with open(cfg["fault_plan"], encoding="utf-8") as f:
                 harness.inject_fault(harness.parse_fault_plan(f.read()), pool, cascade)
         designer.send_designer_loop(cascade, timeout=float(cfg.get("loop_timeout", 30.0)))
         designer.initialize_model(cascade, config)
+        yield designer, cascade, config
+    finally:
+        cleanup()
+
+
+def _run_training(cfg: dict):
+    with _initialized_cascade(cfg) as (designer, cascade, config):
         train_ds = _load_dataset(cfg)
         test_ds = _load_dataset(cfg, prefix="test_") if "test_data" in cfg else None
         metrics = designer.train(
@@ -251,8 +281,6 @@ def _run_training(cfg: dict):
             verdict = designer.validate_model(cascade, holdout.images, holdout.labels,
                                               float(cfg["threshold"]), config=config)
         return metrics, verdict
-    finally:
-        cleanup()
 
 
 @main.command("train")
@@ -261,22 +289,8 @@ def _run_training(cfg: dict):
 @click.option("--simulated", is_flag=True, help="force simulated transport")
 def train_cmd(config_path, out, simulated):
     """Provision a cascade and run the training loop per the config file."""
-    try:
-        cfg = parse_config(config_path)
-        if simulated:
-            cfg["mode"] = "simulated"
-        metrics, verdict = _run_training(cfg)
-    except (ConfigFileError, ConfigError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except CrashDetected as exc:
-        click.echo(f"crash detected: {exc}", err=True)
-        if out and exc.metrics is not None:  # partial rows plus the crash event
-            harness.write_metrics(out, exc.metrics)
-        sys.exit(EXIT_CRASH)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    with _exit_codes(out):
+        metrics, verdict = _run_training(_read_config(config_path, simulated))
     if out:
         harness.write_metrics(out, metrics)
     else:
@@ -291,32 +305,13 @@ def train_cmd(config_path, out, simulated):
 @click.option("--simulated", is_flag=True, help="force simulated transport")
 def test_cmd(config_path, simulated):
     """Train per config, then report holdout accuracy on stdout."""
-    try:
-        cfg = parse_config(config_path)
-        if simulated:
-            cfg["mode"] = "simulated"
-        config = _training_config(cfg)
-        designer, records, model, plan, pool, packet_len, cleanup = _build_world(cfg, config)
-        try:
-            cascade = designer.provision(records, model, plan, config=config,
-                                         packet_len=packet_len)
-            designer.send_designer_loop(cascade)
-            designer.initialize_model(cascade, config)
+    with _exit_codes():
+        cfg = _read_config(config_path, simulated)
+        with _initialized_cascade(cfg) as (designer, cascade, config):
             ds = _load_dataset(cfg)
             designer.train(cascade, ds.images, ds.labels, config)
             accuracy = designer.test(cascade, ds.images, ds.labels,
                                      batch_size=config.batch_size, config=config)
-        finally:
-            cleanup()
-    except (ConfigFileError, ConfigError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except CrashDetected as exc:
-        click.echo(f"crash detected: {exc}", err=True)
-        sys.exit(EXIT_CRASH)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO)
     click.echo(f"accuracy={accuracy!r}")
 
 
@@ -325,7 +320,7 @@ def test_cmd(config_path, simulated):
 @click.option("--out", default=None, type=click.Path(), help="metrics CSV path")
 def baseline_cmd(config_path, out):
     """Run the same model/config in a single process (the oracle)."""
-    try:
+    with _exit_codes():
         cfg = parse_config(config_path)
         config = _training_config(cfg)
         model = nn.make_layer_specs(parse_model(cfg.get("model", TABLE_MODEL)), config.seed)
@@ -336,12 +331,6 @@ def baseline_cmd(config_path, out):
             test_data=test_ds.images if test_ds else None,
             test_labels=test_ds.labels if test_ds else None,
         )
-    except (ConfigFileError, ConfigError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO)
     if out:
         harness.write_metrics(out, metrics)
     else:

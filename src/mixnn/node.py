@@ -99,13 +99,34 @@ def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
     return action
 
 
+def _has_next_hop(record: OnionRecord) -> bool:
+    return record.next is not None and record.next_pk is not None and record.inner is not None
+
+
+def _seal_on(state: NodeState, record: OnionRecord, payload):
+    """Seal the payload (if any) to the next hop and pass the inner onion on."""
+    payload_ct = seal(record.next_pk, payload) if payload is not None else b""
+    return Send(record.next, onion.build_packet(payload_ct, record.inner, state.packet_len))
+
+
+def _send_on_or_reply(state: NodeState, record: OnionRecord, kind: str, payload: bytes):
+    """Pass the result on to the next hop. The last hop of a route (no next
+    hop, a record marked end, or one carrying labels) instead replies `kind`
+    to the designer's return address."""
+    if _has_next_hop(record) and not record.end and record.labels is None:
+        return _seal_on(state, record, payload)
+    if record.return_addr is None or record.return_pk is None:
+        raise ProtocolError(f"{record.op.name.lower()} record with nowhere to send")
+    return Send(record.return_addr, onion.pack_reply(record.op, kind, record.return_pk,
+                                                     payload, state.packet_len))
+
+
 def _relay_or_drop(state: NodeState, record: OnionRecord, payload, what: str):
     """Re-seal the payload (if any) to the next hop and forward the inner
     onion; no model computation happens here. Terminal records are dropped."""
-    if record.inner is None or record.next is None:
+    if not _has_next_hop(record):
         return Drop(f"{what}-terminal")
-    payload_ct = seal(record.next_pk, payload) if payload is not None else b""
-    return Send(record.next, onion.build_packet(payload_ct, record.inner, state.packet_len))
+    return _seal_on(state, record, payload)
 
 
 def do_init(state: NodeState, record: OnionRecord, next_packet):
@@ -156,26 +177,12 @@ def do_forward(state: NodeState, record: OnionRecord, payload):
     state.compute_count += 1
     if record.labels is not None:
         # final actual layer: compute the training loss and return it
-        loss, cache = nn.layer_forward(state.spec, state.params, x, labels=record.labels)
-        state.cache = cache
-        reply = onion.pack_reply(
-            OpCode.FORWARD, onion.REPLY_LOSS, record.return_pk,
-            onion.encode_matrix(np.array([[loss]], dtype=np.float32)),
-            state.packet_len,
-        )
-        return Send(record.return_addr, reply)
-    out, cache = nn.layer_forward(state.spec, state.params, x)
-    state.cache = cache
-    encoded = onion.encode_matrix(out)
-    if record.inner is not None and record.next is not None:
-        payload_ct = seal(record.next_pk, encoded)
-        return Send(record.next, onion.build_packet(payload_ct, record.inner, state.packet_len))
-    if record.return_addr is not None:
-        # designer holds the loss layer: hand the activations back
-        reply = onion.pack_reply(OpCode.FORWARD, onion.REPLY_OUTPUT, record.return_pk,
-                                 encoded, state.packet_len)
-        return Send(record.return_addr, reply)
-    raise ProtocolError("forward record with nowhere to send")
+        loss, state.cache = nn.layer_forward(state.spec, state.params, x, labels=record.labels)
+        return _send_on_or_reply(state, record, onion.REPLY_LOSS,
+                                 onion.encode_matrix(np.array([[loss]], dtype=np.float32)))
+    out, state.cache = nn.layer_forward(state.spec, state.params, x)
+    # with no next hop the designer holds the loss layer: hand the activations back
+    return _send_on_or_reply(state, record, onion.REPLY_OUTPUT, onion.encode_matrix(out))
 
 
 def do_backward(state: NodeState, record: OnionRecord, payload):
@@ -200,16 +207,9 @@ def do_backward(state: NodeState, record: OnionRecord, payload):
     state.compute_count += 1
     dx = nn.layer_backward(state.spec, state.params, state.opt, state.cache, dy)
     state.cache = None
-    if record.inner is not None and record.next is not None:
-        payload_ct = seal(record.next_pk, onion.encode_matrix(dx))
-        return Send(record.next, onion.build_packet(payload_ct, record.inner, state.packet_len))
-    if record.return_addr is not None:
-        # first layer: iteration complete; the ack carries the input gradient
-        # so a designer-held first layer can take its local step
-        reply = onion.pack_reply(OpCode.BACKWARD, onion.REPLY_ACK, record.return_pk,
-                                 onion.encode_matrix(dx), state.packet_len)
-        return Send(record.return_addr, reply)
-    raise ProtocolError("backward record with nowhere to send")
+    # the first layer's ack carries the input gradient so a designer-held
+    # first layer can take its local step
+    return _send_on_or_reply(state, record, onion.REPLY_ACK, onion.encode_matrix(dx))
 
 
 def do_test(state: NodeState, record: OnionRecord, payload):
@@ -222,15 +222,7 @@ def do_test(state: NodeState, record: OnionRecord, payload):
     x = onion.decode_matrix(payload)
     state.compute_count += 1
     out, _ = nn.layer_forward(state.spec, state.params, x, train=False)
-    encoded = onion.encode_matrix(out)
-    if record.end:
-        reply = onion.pack_reply(OpCode.TEST, onion.REPLY_OUTPUT, record.return_pk,
-                                 encoded, state.packet_len)
-        return Send(record.return_addr, reply)
-    if record.inner is not None and record.next is not None:
-        payload_ct = seal(record.next_pk, encoded)
-        return Send(record.next, onion.build_packet(payload_ct, record.inner, state.packet_len))
-    raise ProtocolError("test record with nowhere to send")
+    return _send_on_or_reply(state, record, onion.REPLY_OUTPUT, onion.encode_matrix(out))
 
 
 def emit_cover(state: NodeState, target: Address) -> bytes:

@@ -9,7 +9,30 @@ Every packet in a cascade is exactly L bytes no matter the phase, hop, or
 payload. A hop opens only its own routing record; the record's inner
 ciphertext is sealed to the next hop and is indecipherable here.
 
-Records are encoded as tag-length-value fields: [tag u8][len u32 BE][value].
+Records are encoded as tag-length-value fields, [tag u8][len u32 BE][value],
+in ascending tag order. A field that is None, and a flag that is false, is
+left out:
+
+    tag  field          value
+    1    op             u8 OpCode (required)
+    2    cover          flag, 0x01
+    3    next           UTF-8 "host:port"
+    4    next_pk        DER public key
+    5    inner          sealed inner onion
+    6    role           UTF-8 "actual" | "dummy"
+    7    chain          count u16 BE, then per op kind u8 | in_dim u32 BE | out_dim u32 BE
+    8    learning_rate  f64 BE
+    9    momentum       f64 BE
+    10   seed           u64 BE
+    11   labels         count u32 BE, then int64 LE each
+    12   return_addr    UTF-8 "host:port"
+    13   return_pk      DER public key
+    14   end            flag, 0x01
+    15   reply          UTF-8 "loss" | "ack" | "output"
+    16   junk           random bytes
+
+Unknown tags are ignored. A record that fails to decode raises FramingError,
+so a node drops the packet that carried it.
 """
 
 import os
@@ -49,24 +72,6 @@ class OpCode(IntEnum):
     TEST = 3
 
 
-# record field tags
-_T_OP = 1
-_T_COVER = 2
-_T_NEXT = 3
-_T_NEXT_PK = 4
-_T_INNER = 5
-_T_ROLE = 6
-_T_CHAIN = 7
-_T_LR = 8
-_T_MOMENTUM = 9
-_T_SEED = 10
-_T_LABELS = 11
-_T_RETURN = 12
-_T_RETURN_PK = 13
-_T_END = 14
-_T_REPLY = 15
-_T_JUNK = 16
-
 ROLE_ACTUAL = "actual"
 ROLE_DUMMY = "dummy"
 
@@ -100,23 +105,15 @@ class OnionRecord:
     junk: bytes | None = None
 
 
-def _tlv(tag: int, value: bytes) -> bytes:
-    return struct.pack(">BI", tag, len(value)) + value
+_KIND_CODES = {"linear": 1, "relu": 2, "logsoftmax": 3, "nllloss": 4, "identity": 5}
+_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
 def encode_chain(chain) -> bytes:
     out = struct.pack(">H", len(chain))
     for op in chain:
-        out += struct.pack(">BII", _chain_kind_code(op.kind), op.in_dim, op.out_dim)
+        out += struct.pack(">BII", _KIND_CODES[op.kind], op.in_dim, op.out_dim)
     return out
-
-
-_KIND_CODES = {"linear": 1, "relu": 2, "logsoftmax": 3, "nllloss": 4, "identity": 5}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
-
-def _chain_kind_code(kind: str) -> int:
-    return _KIND_CODES[kind]
 
 
 def decode_chain(data: bytes):
@@ -129,87 +126,6 @@ def decode_chain(data: bytes):
         kind = _CODE_KINDS[code]
         chain.append(PrimitiveOp(kind, in_dim, out_dim) if kind == LINEAR else PrimitiveOp(kind))
     return chain
-
-
-def encode_record(rec: OnionRecord) -> bytes:
-    parts = [_tlv(_T_OP, bytes([int(rec.op)]))]
-    if rec.cover:
-        parts.append(_tlv(_T_COVER, b"\x01"))
-    if rec.next is not None:
-        parts.append(_tlv(_T_NEXT, str(rec.next).encode()))
-    if rec.next_pk is not None:
-        parts.append(_tlv(_T_NEXT_PK, rec.next_pk))
-    if rec.inner is not None:
-        parts.append(_tlv(_T_INNER, rec.inner))
-    if rec.role is not None:
-        parts.append(_tlv(_T_ROLE, rec.role.encode()))
-    if rec.chain is not None:
-        parts.append(_tlv(_T_CHAIN, encode_chain(rec.chain)))
-    if rec.learning_rate is not None:
-        parts.append(_tlv(_T_LR, struct.pack(">d", rec.learning_rate)))
-    if rec.momentum is not None:
-        parts.append(_tlv(_T_MOMENTUM, struct.pack(">d", rec.momentum)))
-    if rec.seed is not None:
-        parts.append(_tlv(_T_SEED, struct.pack(">Q", rec.seed)))
-    if rec.labels is not None:
-        parts.append(_tlv(_T_LABELS, encode_labels(rec.labels)))
-    if rec.return_addr is not None:
-        parts.append(_tlv(_T_RETURN, str(rec.return_addr).encode()))
-    if rec.return_pk is not None:
-        parts.append(_tlv(_T_RETURN_PK, rec.return_pk))
-    if rec.end:
-        parts.append(_tlv(_T_END, b"\x01"))
-    if rec.reply is not None:
-        parts.append(_tlv(_T_REPLY, rec.reply.encode()))
-    if rec.junk is not None:
-        parts.append(_tlv(_T_JUNK, rec.junk))
-    return b"".join(parts)
-
-
-def decode_record(data: bytes) -> OnionRecord:
-    fields = {}
-    off = 0
-    while off < len(data):
-        if off + 5 > len(data):
-            raise FramingError("truncated record field header")
-        tag, length = struct.unpack(">BI", data[off:off + 5])
-        off += 5
-        if off + length > len(data):
-            raise FramingError("truncated record field value")
-        fields[tag] = data[off:off + length]
-        off += length
-    if _T_OP not in fields:
-        raise FramingError("record missing op code")
-    rec = OnionRecord(op=OpCode(fields[_T_OP][0]))
-    rec.cover = _T_COVER in fields
-    if _T_NEXT in fields:
-        rec.next = Address.parse(fields[_T_NEXT].decode())
-    if _T_NEXT_PK in fields:
-        rec.next_pk = fields[_T_NEXT_PK]
-    if _T_INNER in fields:
-        rec.inner = fields[_T_INNER]
-    if _T_ROLE in fields:
-        rec.role = fields[_T_ROLE].decode()
-    if _T_CHAIN in fields:
-        rec.chain = decode_chain(fields[_T_CHAIN])
-    if _T_LR in fields:
-        (rec.learning_rate,) = struct.unpack(">d", fields[_T_LR])
-    if _T_MOMENTUM in fields:
-        (rec.momentum,) = struct.unpack(">d", fields[_T_MOMENTUM])
-    if _T_SEED in fields:
-        (rec.seed,) = struct.unpack(">Q", fields[_T_SEED])
-    if _T_LABELS in fields:
-        rec.labels = decode_labels(fields[_T_LABELS])
-    if _T_RETURN in fields:
-        rec.return_addr = Address.parse(fields[_T_RETURN].decode())
-    if _T_RETURN_PK in fields:
-        rec.return_pk = fields[_T_RETURN_PK]
-    rec.end = _T_END in fields
-    if _T_REPLY in fields:
-        rec.reply = fields[_T_REPLY].decode()
-    if _T_JUNK in fields:
-        rec.junk = fields[_T_JUNK]
-    return rec
 
 
 def encode_matrix(m: np.ndarray) -> bytes:
@@ -243,6 +159,69 @@ def decode_labels(data: bytes) -> np.ndarray:
     if len(body) != count * 8:
         raise FramingError("label vector length mismatch")
     return np.frombuffer(body, dtype="<i8").astype(np.int64)
+
+
+def _fixed(fmt: str):
+    return (lambda v: struct.pack(fmt, v), lambda b: struct.unpack(fmt, b)[0])
+
+
+_FLAG = (lambda _: b"\x01", lambda _: True)
+_RAW = (lambda v: v, lambda v: v)
+_TEXT = (lambda s: s.encode(), lambda b: b.decode())
+_ADDR = (lambda a: str(a).encode(), lambda b: Address.parse(b.decode()))
+
+# tag -> (OnionRecord field, encode, decode), in the order fields are written
+_FIELDS = {
+    1: ("op", lambda op: bytes([int(op)]), lambda b: OpCode(b[0])),
+    2: ("cover", *_FLAG),
+    3: ("next", *_ADDR),
+    4: ("next_pk", *_RAW),
+    5: ("inner", *_RAW),
+    6: ("role", *_TEXT),
+    7: ("chain", encode_chain, decode_chain),
+    8: ("learning_rate", *_fixed(">d")),
+    9: ("momentum", *_fixed(">d")),
+    10: ("seed", *_fixed(">Q")),
+    11: ("labels", encode_labels, decode_labels),
+    12: ("return_addr", *_ADDR),
+    13: ("return_pk", *_RAW),
+    14: ("end", *_FLAG),
+    15: ("reply", *_TEXT),
+    16: ("junk", *_RAW),
+}
+
+
+def encode_record(rec: OnionRecord) -> bytes:
+    parts = []
+    for tag, (name, encode, _) in _FIELDS.items():
+        value = getattr(rec, name)
+        if value is not None and value is not False:
+            value = encode(value)
+            parts.append(struct.pack(">BI", tag, len(value)) + value)
+    return b"".join(parts)
+
+
+def decode_record(data: bytes) -> OnionRecord:
+    """Inverse of encode_record; raises FramingError for any malformed field."""
+    fields = {}
+    off = 0
+    while off < len(data):
+        if off + 5 > len(data):
+            raise FramingError("truncated record field header")
+        tag, length = struct.unpack(">BI", data[off:off + 5])
+        off += 5
+        if off + length > len(data):
+            raise FramingError("truncated record field value")
+        fields[tag] = data[off:off + length]
+        off += length
+    try:
+        values = {name: decode(fields[tag])
+                  for tag, (name, _, decode) in _FIELDS.items() if tag in fields}
+    except (KeyError, IndexError, ValueError, struct.error) as exc:
+        raise FramingError(f"malformed record field: {exc!r}") from None
+    if "op" not in values:
+        raise FramingError("record missing op code")
+    return OnionRecord(**values)
 
 
 @dataclass
@@ -319,35 +298,40 @@ def parse_packet(buf: bytes, expected_len: int | None = None):
     return payload_ct, buf[off:off + olen]
 
 
-def _nest(cascade: CascadeSpec, records) -> bytes:
-    """Seal records innermost-out; records[i] belongs to entries[i]."""
+def _nest(hops, records) -> bytes:
+    """Seal records innermost-out. records[i] is sealed to hops[i] and names
+    hops[i + 1] as its next hop; the last record names none."""
     inner = None
-    for i in range(len(records) - 1, -1, -1):
+    for i in range(len(hops) - 1, -1, -1):
         rec = records[i]
+        if i + 1 < len(hops):
+            rec.next, rec.next_pk = hops[i + 1].address, hops[i + 1].pk
         rec.inner = inner
-        inner = crypto.seal(cascade.entries[i].pk, encode_record(rec))
+        inner = crypto.seal(hops[i].pk, encode_record(rec))
     return inner
+
+
+def _nest_to_designer(cascade: CascadeSpec, hops, op: OpCode, **last) -> bytes:
+    """A route over hops whose last hop replies to the designer; `last` adds
+    fields to that hop's record."""
+    records = [OnionRecord(op=op) for _ in hops[1:]]
+    records.append(OnionRecord(op=op, return_addr=cascade.designer_addr,
+                               return_pk=cascade.designer_pk, **last))
+    return _nest(hops, records)
 
 
 def pack_init(cascade: CascadeSpec) -> bytes:
     """Model-initialization onion: each hop learns its own role, chain,
     optimizer settings and seed, plus its successor's address."""
     records = []
-    for i, e in enumerate(cascade.entries):
-        rec = OnionRecord(op=OpCode.INIT)
-        if e.layer is not None:
-            rec.role = ROLE_ACTUAL
-            rec.chain = e.layer.chain
-            rec.seed = e.layer.seed
-            rec.learning_rate = cascade.learning_rate
-            rec.momentum = cascade.momentum
+    for e in cascade.entries:
+        if e.layer is None:
+            records.append(OnionRecord(op=OpCode.INIT, role=ROLE_DUMMY))
         else:
-            rec.role = ROLE_DUMMY
-        if i + 1 < cascade.n:
-            rec.next = cascade.entries[i + 1].address
-            rec.next_pk = cascade.entries[i + 1].pk
-        records.append(rec)
-    return build_packet(b"", _nest(cascade, records), cascade.packet_len)
+            records.append(OnionRecord(op=OpCode.INIT, role=ROLE_ACTUAL, chain=e.layer.chain,
+                                       seed=e.layer.seed, learning_rate=cascade.learning_rate,
+                                       momentum=cascade.momentum))
+    return build_packet(b"", _nest(cascade.entries, records), cascade.packet_len)
 
 
 def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | None) -> bytes:
@@ -362,19 +346,8 @@ def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | No
         raise ValueError("empty batch")
     if labels is not None and len(labels) != data.shape[0]:
         raise ValueError(f"batch {data.shape[0]} vs {len(labels)} labels")
-    records = []
-    for i, e in enumerate(cascade.entries):
-        rec = OnionRecord(op=OpCode.FORWARD)
-        if i + 1 < cascade.n:
-            rec.next = cascade.entries[i + 1].address
-            rec.next_pk = cascade.entries[i + 1].pk
-        else:
-            if labels is not None:
-                rec.labels = np.asarray(labels)
-            rec.return_addr = cascade.designer_addr
-            rec.return_pk = cascade.designer_pk
-        records.append(rec)
-    onion = _nest(cascade, records)
+    onion = _nest_to_designer(cascade, cascade.entries, OpCode.FORWARD,
+                              labels=None if labels is None else np.asarray(labels))
     payload = crypto.seal(cascade.entries[0].pk, encode_matrix(data))
     return build_packet(payload, onion, cascade.packet_len)
 
@@ -383,26 +356,11 @@ def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None) 
     """Backward onion, nested in reverse cascade order; carries no data or
     labels. initial_grad is only present when the designer holds the loss
     layer and must hand the last remote hop its starting gradient."""
-    records = []
-    for i, e in enumerate(cascade.entries):
-        rec = OnionRecord(op=OpCode.BACKWARD)
-        if i > 0:
-            rec.next = cascade.entries[i - 1].address
-            rec.next_pk = cascade.entries[i - 1].pk
-        else:
-            rec.return_addr = cascade.designer_addr
-            rec.return_pk = cascade.designer_pk
-        records.append(rec)
-    # outermost hop is layer n: nest against the reversed cascade
-    inner = None
-    for i in range(cascade.n):
-        rec = records[i]
-        rec.inner = inner
-        inner = crypto.seal(cascade.entries[i].pk, encode_record(rec))
+    onion = _nest_to_designer(cascade, cascade.entries[::-1], OpCode.BACKWARD)
     payload = b""
     if initial_grad is not None:
         payload = crypto.seal(cascade.entries[-1].pk, encode_matrix(initial_grad))
-    return build_packet(payload, inner, cascade.packet_len)
+    return build_packet(payload, onion, cascade.packet_len)
 
 
 def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytes:
@@ -413,44 +371,21 @@ def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytes:
     if cascade.entries[end_slot - 1].layer is None:
         raise ValueError(f"end slot {end_slot} is a dummy relay")
     data = np.ascontiguousarray(data, dtype=np.float32)
-    records = []
-    for i in range(end_slot):
-        rec = OnionRecord(op=OpCode.TEST)
-        if i + 1 < end_slot:
-            rec.next = cascade.entries[i + 1].address
-            rec.next_pk = cascade.entries[i + 1].pk
-        else:
-            rec.end = True
-            rec.return_addr = cascade.designer_addr
-            rec.return_pk = cascade.designer_pk
-        records.append(rec)
-    inner = None
-    for i in range(end_slot - 1, -1, -1):
-        rec = records[i]
-        rec.inner = inner
-        inner = crypto.seal(cascade.entries[i].pk, encode_record(rec))
+    onion = _nest_to_designer(cascade, cascade.entries[:end_slot], OpCode.TEST, end=True)
     payload = crypto.seal(cascade.entries[0].pk, encode_matrix(data))
-    return build_packet(payload, inner, cascade.packet_len)
+    return build_packet(payload, onion, cascade.packet_len)
 
 
 def pack_cover_loop(cascade: CascadeSpec, payload_len: int = 4096) -> bytes:
     """A loop message: forward-shaped cover onion that traverses every hop and
     comes back to the designer. Every record is flagged cover and padded with
     random junk fields; hops relay it without any model computation."""
-    terminal = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
-    inner = crypto.seal(cascade.designer_pk, encode_record(terminal))
-    for i in range(cascade.n - 1, -1, -1):
-        rec = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
-        rec.inner = inner
-        if i + 1 < cascade.n:
-            rec.next = cascade.entries[i + 1].address
-            rec.next_pk = cascade.entries[i + 1].pk
-        else:
-            rec.next = cascade.designer_addr
-            rec.next_pk = cascade.designer_pk
-        inner = crypto.seal(cascade.entries[i].pk, encode_record(rec))
+    designer = CascadeEntry("designer", cascade.designer_addr, cascade.designer_pk, None)
+    hops = cascade.entries + [designer]
+    records = [OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32)) for _ in hops]
+    onion = _nest(hops, records)
     payload = crypto.seal(cascade.entries[0].pk, os.urandom(payload_len))
-    return build_packet(payload, inner, cascade.packet_len)
+    return build_packet(payload, onion, cascade.packet_len)
 
 
 def pack_single_cover(target_pk: bytes, packet_len: int, payload_len: int = 4096) -> bytes:

@@ -131,6 +131,26 @@ class TestTrainCommand:
         assert open(out).read().startswith("epoch,")
 
 
+class TestTestCommand:
+    def test_simulated_run_prints_accuracy(self, tmp_path):
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("mode = simulated", "mode = socket"))
+        result = CliRunner().invoke(cli.main, ["test", "--config", cfg, "--simulated"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("accuracy=")
+        assert 0.0 <= float(result.output.strip().split("=", 1)[1]) <= 1.0
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        result = CliRunner().invoke(cli.main, ["test", "--config",
+                                               str(tmp_path / "absent.cfg")])
+        assert result.exit_code == 2
+
+    def test_kill_plan_exits_with_crash_code(self, tmp_path):
+        plan = write(tmp_path, "faults.txt", "node=slot:3 action=kill at_iteration=2\n")
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + f"fault_plan = {plan}\n")
+        result = CliRunner().invoke(cli.main, ["test", "--config", cfg])
+        assert result.exit_code == 3, result.output
+
+
 class TestBaselineAndCompare:
     def test_train_equals_baseline_through_cli(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg",

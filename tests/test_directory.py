@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,20 @@ class TestWireService:
             client.register(rec("w1", keypair.pk))
             with pytest.raises(RuntimeError):
                 client.register(rec("w1", keypair2.pk))
+        finally:
+            server.stop()
+
+    def test_bad_frame_drops_only_its_connection(self, keypair):
+        server = DirectoryServer(Directory())
+        server.start()
+        try:
+            with socket.create_connection((server.address.host, server.address.port),
+                                          timeout=10.0) as s:
+                s.sendall(b"\x00\x00\x00\x01\xff")  # one-byte frame, not UTF-8
+                assert s.recv(1) == b""  # closed without a response
+            client = DirectoryClient(server.address)
+            client.register(rec("w1", keypair.pk))
+            assert [r.node_id for r in client.list()] == ["w1"]
         finally:
             server.stop()
 

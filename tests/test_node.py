@@ -1,11 +1,12 @@
 import logging
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mixnn import nn, node, onion
-from mixnn.crypto import Address, gen_keypair, open_sealed
+from mixnn.crypto import Address, gen_keypair, open_sealed, seal
 from mixnn.node import Drop, NodeState, Send, handle_packet
 from mixnn.onion import CascadeEntry, CascadeSpec, OpCode
 
@@ -149,6 +150,27 @@ class TestStateMachine:
         init_all(cascade, states)
         action = handle_packet(states[0], b"MXNN" + b"\x01" + b"\x00" * 100)
         assert isinstance(action, Drop)
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param([(1, b"\x00"), (6, b"actual"), (7, struct.pack(">HBII", 1, 99, 1, 1)),
+                      (10, struct.pack(">Q", 1))], id="unknown-primitive-code"),
+        pytest.param([(1, b"\x00"), (6, b"actual"), (7, struct.pack(">HBII", 1, 2, 0, 0)),
+                      (10, b"\x01")], id="one-byte-seed"),
+        pytest.param([(1, b"\x09")], id="op-byte-9"),
+        pytest.param([(1, b"")], id="empty-op"),
+        pytest.param([(1, b"\x01"), (3, b"nonsense")], id="unparseable-next"),
+        pytest.param([(1, b"\x00"), (6, b"\xff")], id="non-utf8-role"),
+        pytest.param([(1, b"\x01"), (11, onion.encode_labels(np.array([0, 1])))],
+                     id="labels-without-return-address"),
+    ])
+    def test_hostile_record_sealed_to_own_key_dropped(self, keys, fields):
+        # public keys are published, so anyone can seal a record to a node
+        cascade, states = build(keys, SMALL)
+        init_all(cascade, states)
+        record = b"".join(struct.pack(">BI", tag, len(v)) + v for tag, v in fields)
+        payload = onion.encode_matrix(np.zeros((2, 4), dtype=np.float32))
+        pkt = onion.build_packet(seal(keys[2].pk, payload), seal(keys[2].pk, record), L)
+        assert isinstance(handle_packet(states[2], pkt), Drop)
 
 
 class TestForward:

@@ -370,3 +370,46 @@ class TestPerHopKnowledge:
             else:
                 assert record.next is None
                 assert record.return_addr == cascade.designer_addr
+
+
+class TestRecordCodec:
+    # one [tag u8][len u32 BE][value] field per line, in ascending tag order
+    GOLDEN = bytes.fromhex("".join([
+        "01" "00000001" "03",                                  # op TEST
+        "02" "00000001" "01",                                  # cover
+        "03" "0000000c" "6e312e746573743a37303031",            # next n1.test:7001
+        "04" "00000003" "6e706b",                              # next_pk
+        "05" "00000005" "696e6e6572",                          # inner
+        "06" "00000006" "61637475616c",                        # role actual
+        "07" "0000002f" "0005"                                 # chain, 5 ops
+        "010000000200000003" "020000000000000000" "030000000000000000"
+        "040000000000000000" "050000000000000000",
+        "08" "00000008" "3f847ae147ae147b",                    # learning_rate 0.01
+        "09" "00000008" "3feccccccccccccd",                    # momentum 0.9
+        "0a" "00000008" "0000010000000005",                    # seed 2**40 + 5
+        "0b" "0000001c" "00000003"                             # labels [0, 9, 3]
+        "0000000000000000" "0900000000000000" "0300000000000000",
+        "0c" "0000000b" "642e746573743a36303030",              # return_addr d.test:6000
+        "0d" "00000003" "64706b",                              # return_pk
+        "0e" "00000001" "01",                                  # end
+        "0f" "00000004" "6c6f7373",                            # reply loss
+        "10" "00000002" "00ff",                                # junk
+    ]))
+
+    def every_field(self):
+        return onion.OnionRecord(
+            op=OpCode.TEST, cover=True, next=Address("n1.test", 7001), next_pk=b"npk",
+            inner=b"inner", role=onion.ROLE_ACTUAL,
+            chain=[nn.linear(2, 3), nn.relu(), nn.logsoftmax(), nn.nllloss(), nn.identity()],
+            learning_rate=0.01, momentum=0.9, seed=2**40 + 5, labels=np.array([0, 9, 3]),
+            return_addr=Address("d.test", 6000), return_pk=b"dpk", end=True,
+            reply=onion.REPLY_LOSS, junk=b"\x00\xff")
+
+    def test_golden_bytes_every_field(self):
+        rec = self.every_field()
+        assert onion.encode_record(rec) == self.GOLDEN
+        back = onion.decode_record(self.GOLDEN)
+        npt.assert_array_equal(back.labels, rec.labels)
+        assert back.labels.dtype == np.int64
+        back.labels = rec.labels = None
+        assert back == rec
