@@ -121,7 +121,8 @@ def main(verbose):
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(), help="basename for .pk/.sk files")
-@click.option("--seed", default=None, help="hex seed for reproducible keys (tests)")
+@click.option("--seed", default=None,
+              help="hex seed for reproducible test keys: the X25519 private key is SHA-256(seed)")
 def keygen(out, seed):
     """Generate a key pair; the secret key file is chmod 0600."""
     kp = gen_keypair(bytes.fromhex(seed) if seed else None)

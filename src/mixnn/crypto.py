@@ -1,35 +1,33 @@
-"""Key pairs and hybrid public-key sealing of arbitrary-length byte strings.
+"""Key pairs and public-key sealing of arbitrary-length byte strings.
 
-Sealing wraps a fresh AES-256 key under RSA-2048-OAEP and encrypts the body
-with AES-GCM, so tampering anywhere in a ciphertext is detected when opening.
+Sealing runs X25519 (RFC 7748) between a fresh ephemeral key and the
+recipient's public key, derives an AES-256 key and a GCM nonce from the
+shared secret with HKDF-SHA256 (RFC 5869), and encrypts the body with
+AES-GCM, so tampering anywhere in a ciphertext is detected when opening.
+The ephemeral public key, as sent, is part of the HKDF input: X25519 ignores
+the top bit of a public key, so without it a flipped bit 0x80 in byte 31
+would still open.
 
-Ciphertext layout: [wrapped-key length: u16 BE][wrapped key][nonce][body][tag].
-The overhead over the plaintext length is a constant (286 bytes for 2048-bit
-keys): 2 + 256 + 12 + 16.
+Ciphertext layout: [ephemeral X25519 public key 32][body][GCM tag 16].
+The overhead over the plaintext length is a constant 48 bytes.
 """
 
 import base64
-import functools
 import hashlib
 import os
-import struct
 from dataclasses import dataclass, field
 
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric.x25519 import (X25519PrivateKey,
+                                                              X25519PublicKey)
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-RSA_BITS = 2048
-RSA_BYTES = RSA_BITS // 8
+KEY_LEN = 32  # X25519 public and private keys
 AES_KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 16
-
-_OAEP = padding.OAEP(
-    mgf=padding.MGF1(algorithm=hashes.SHA256()),
-    algorithm=hashes.SHA256(),
-    label=None,
-)
+_HKDF_INFO = b"mixnn seal v2"
 
 
 class DecryptionError(Exception):
@@ -58,8 +56,8 @@ class Address:
 
 @dataclass
 class KeyPair:
-    pk: bytes  # DER SubjectPublicKeyInfo
-    sk: bytes  # DER PKCS8, unencrypted
+    pk: bytes  # raw X25519 public key, 32 bytes
+    sk: bytes  # raw X25519 private key, 32 bytes
 
 
 @dataclass
@@ -84,149 +82,49 @@ class KeyRecord:
             for item in parts[3].split(";"):
                 k, _, v = item.partition("=")
                 meta[k] = v
-        return cls(node_id, Address.parse(addr), base64.b64decode(pk_b64), meta)
-
-
-def _keypair_from_private(priv) -> KeyPair:
-    return KeyPair(
-        pk=priv.public_key().public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        ),
-        sk=priv.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        ),
-    )
-
-
-class _DRBG:
-    """SHA-256 counter stream; used only for seeded (reproducible) key generation."""
-
-    def __init__(self, seed: bytes):
-        self.seed = seed
-        self.counter = 0
-
-    def getrandbits(self, bits: int) -> int:
-        nbytes = (bits + 7) // 8
-        out = b""
-        while len(out) < nbytes:
-            out += hashlib.sha256(self.seed + struct.pack(">Q", self.counter)).digest()
-            self.counter += 1
-        value = int.from_bytes(out[:nbytes], "big")
-        return value >> (nbytes * 8 - bits)
-
-
-_SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
-                 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
-                 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251]
-
-
-def _is_probable_prime(n: int, rng: _DRBG, rounds: int = 40) -> bool:
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = 2 + rng.getrandbits(64) % (n - 3)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _gen_prime(bits: int, rng: _DRBG) -> int:
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if _is_probable_prime(cand, rng):
-            return cand
-
-
-def _seeded_rsa(seed: bytes):
-    rng = _DRBG(seed)
-    e = 65537
-    while True:
-        p = _gen_prime(RSA_BITS // 2, rng)
-        q = _gen_prime(RSA_BITS // 2, rng)
-        if p == q:
-            continue
-        if p < q:
-            p, q = q, p
-        n = p * q
-        if n.bit_length() != RSA_BITS:
-            continue
-        phi = (p - 1) * (q - 1)
-        if phi % e == 0:
-            continue
-        d = pow(e, -1, phi)
-        numbers = rsa.RSAPrivateNumbers(
-            p=p, q=q, d=d,
-            dmp1=rsa.rsa_crt_dmp1(d, p),
-            dmq1=rsa.rsa_crt_dmq1(d, q),
-            iqmp=rsa.rsa_crt_iqmp(p, q),
-            public_numbers=rsa.RSAPublicNumbers(e=e, n=n),
-        )
-        return numbers.private_key()
+        pk = base64.b64decode(pk_b64)
+        if len(pk) != KEY_LEN:
+            raise ValueError(f"public key must be {KEY_LEN} bytes, got {len(pk)}")
+        return cls(node_id, Address.parse(addr), pk, meta)
 
 
 def gen_keypair(seed: bytes | None = None) -> KeyPair:
-    """Generate an RSA-2048 key pair. A seed makes generation deterministic
-    (intended for tests; seeded prime search is pure Python and slow)."""
-    if seed is None:
-        priv = rsa.generate_private_key(public_exponent=65537, key_size=RSA_BITS)
-    else:
-        priv = _seeded_rsa(bytes(seed))
-    return _keypair_from_private(priv)
-
-
-@functools.lru_cache(maxsize=256)
-def _load_pk(pk: bytes):
-    return serialization.load_der_public_key(pk)
-
-
-@functools.lru_cache(maxsize=256)
-def _load_sk(sk: bytes):
-    return serialization.load_der_private_key(sk, password=None)
+    """Generate an X25519 key pair. With a seed the private key is
+    SHA-256(seed), so generation is deterministic (intended for tests)."""
+    sk = hashlib.sha256(seed).digest() if seed is not None else os.urandom(KEY_LEN)
+    pk = X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+    return KeyPair(pk=pk, sk=sk)
 
 
 def seal_overhead() -> int:
-    return 2 + RSA_BYTES + NONCE_LEN + TAG_LEN
+    return KEY_LEN + TAG_LEN
+
+
+def _aead(shared: bytes, epk: bytes):
+    """The AES-GCM cipher and nonce of one seal, bound to epk as sent."""
+    okm = HKDF(algorithm=hashes.SHA256(), length=AES_KEY_LEN + NONCE_LEN,
+               salt=None, info=_HKDF_INFO + epk).derive(shared)
+    return AESGCM(okm[:AES_KEY_LEN]), okm[AES_KEY_LEN:]
 
 
 def seal(pk: bytes, plaintext: bytes) -> bytes:
     """Encrypt plaintext of any length to the holder of pk's secret key."""
-    key = os.urandom(AES_KEY_LEN)
-    nonce = os.urandom(NONCE_LEN)
-    wrapped = _load_pk(pk).encrypt(key, _OAEP)
-    body = AESGCM(key).encrypt(nonce, plaintext, None)  # ciphertext || 16-byte tag
-    return struct.pack(">H", len(wrapped)) + wrapped + nonce + body
+    eph = X25519PrivateKey.generate()
+    epk = eph.public_key().public_bytes_raw()
+    aead, nonce = _aead(eph.exchange(X25519PublicKey.from_public_bytes(pk)), epk)
+    return epk + aead.encrypt(nonce, plaintext, None)  # body || 16-byte tag
 
 
 def open_sealed(sk: bytes, ciphertext: bytes) -> bytes:
     """Open a sealed ciphertext. Raises DecryptionError on any corruption,
     truncation, or key mismatch; never returns partial plaintext."""
     try:
-        if len(ciphertext) < 2:
+        if len(ciphertext) < seal_overhead():
             raise ValueError("truncated")
-        (wklen,) = struct.unpack(">H", ciphertext[:2])
-        rest = ciphertext[2:]
-        if len(rest) < wklen + NONCE_LEN + TAG_LEN:
-            raise ValueError("truncated")
-        wrapped = rest[:wklen]
-        nonce = rest[wklen:wklen + NONCE_LEN]
-        body = rest[wklen + NONCE_LEN:]
-        key = _load_sk(sk).decrypt(wrapped, _OAEP)
-        return AESGCM(key).decrypt(nonce, body, None)
+        epk = ciphertext[:KEY_LEN]
+        shared = X25519PrivateKey.from_private_bytes(sk).exchange(
+            X25519PublicKey.from_public_bytes(epk))
+        aead, nonce = _aead(shared, epk)
+        return aead.decrypt(nonce, memoryview(ciphertext)[KEY_LEN:], None)
     except Exception as exc:
         raise DecryptionError("authenticated decryption failed") from exc

@@ -370,7 +370,10 @@ class DirectoryClient:
             if header is None:
                 raise RuntimeError("directory closed the connection")
             (length,) = struct.unpack(">I", header)
-            return _recv_exact(s, length).decode("utf-8")
+            body = _recv_exact(s, length)
+            if body is None:
+                raise RuntimeError("directory closed the connection mid-reply")
+            return body.decode("utf-8")
 
     def register(self, rec: KeyRecord):
         response = self._request(f"REGISTER {rec.to_line()}")

@@ -2,11 +2,13 @@
 
 Wire layout of every packet (bit-exact):
 
-    magic "MXNN" | version 0x01 | payload_ct_len u32 BE | payload_ct
+    magic "MXNN" | version 0x02 | payload_ct_len u32 BE | payload_ct
     | onion_ct_len u32 BE | onion_ct | random padding to the cascade length L
 
-Every packet in a cascade is exactly L bytes no matter the phase, hop, or
-payload. A hop opens only its own routing record; the record's inner
+payload_ct and onion_ct are crypto.seal ciphertexts, each
+[ephemeral X25519 public key 32][AES-GCM body][tag 16], 48 bytes over the
+plaintext. Every packet in a cascade is exactly L bytes no matter the phase,
+hop, or payload. A hop opens only its own routing record; the record's inner
 ciphertext is sealed to the next hop and is indecipherable here.
 
 Records are encoded as tag-length-value fields, [tag u8][len u32 BE][value],
@@ -17,7 +19,7 @@ left out:
     1    op             u8 OpCode (required)
     2    cover          flag, 0x01
     3    next           UTF-8 "host:port"
-    4    next_pk        DER public key
+    4    next_pk        X25519 public key, 32 bytes
     5    inner          sealed inner onion
     6    role           UTF-8 "actual" | "dummy"
     7    chain          count u16 BE, then per op kind u8 | in_dim u32 BE | out_dim u32 BE
@@ -26,7 +28,7 @@ left out:
     10   seed           u64 BE
     11   labels         count u32 BE, then int64 LE each
     12   return_addr    UTF-8 "host:port"
-    13   return_pk      DER public key
+    13   return_pk      X25519 public key, 32 bytes
     14   end            flag, 0x01
     15   reply          UTF-8 "loss" | "ack" | "output"
     16   junk           random bytes
@@ -47,7 +49,7 @@ from .crypto import Address
 from .nn import LINEAR, PrimitiveOp, LayerSpec
 
 MAGIC = b"MXNN"
-VERSION = 1
+VERSION = 2
 DEFAULT_PACKET_LEN = 524288
 HEADER_LEN = len(MAGIC) + 1 + 4 + 4
 

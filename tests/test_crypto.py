@@ -1,7 +1,7 @@
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixnn import crypto
 from mixnn.crypto import (Address, DecryptionError, KeyRecord, gen_keypair,
@@ -44,12 +44,10 @@ class TestSealOpen:
         assert overheads == {crypto.seal_overhead()}
 
     def test_ciphertext_layout(self, keypair):
-        # [wrapped-key length u16 BE][wrapped key][nonce][body][tag]
-        import struct
+        # [ephemeral X25519 public key 32][body][tag 16]
         ct = seal(keypair.pk, b"abc")
-        (wklen,) = struct.unpack(">H", ct[:2])
-        assert wklen == crypto.RSA_BYTES
-        assert len(ct) == 2 + wklen + crypto.NONCE_LEN + 3 + crypto.TAG_LEN
+        assert len(ct) == 32 + 3 + 16
+        assert seal(keypair.pk, b"abc")[:32] != ct[:32]  # fresh ephemeral key
 
     def test_wrong_key_fails(self, keypair, keypair2):
         ct = seal(keypair.pk, b"secret")
@@ -76,6 +74,28 @@ class TestSealOpen:
     def test_roundtrip_property(self, message):
         kp = _property_keypair()
         assert open_sealed(kp.sk, seal(kp.pk, message)) == message
+
+    # made once by seal(gen_keypair(b"golden").pk, GOLDEN_PLAINTEXT); pins the
+    # key derivation from the seed, the HKDF input, the nonce and the layout
+    GOLDEN_PK = "f4c82e239e98d8a912e84fbfa49447e55d42a3440ecb152311811fc68a9c9f0e"
+    GOLDEN_PLAINTEXT = b"mixnn golden plaintext"
+    GOLDEN_CT = ("d271d48440806fc1edd78a6c21d4cbef85422c0a1734cca80b271211be0b5c05"
+                 "bac3157f02b648035e22a3b2bf4ba40091a21077459f231a443716d274b031"
+                 "80eb8182906e60")
+
+    def test_golden_ciphertext(self):
+        kp = gen_keypair(b"golden")
+        assert kp.pk.hex() == self.GOLDEN_PK
+        assert open_sealed(kp.sk, bytes.fromhex(self.GOLDEN_CT)) == self.GOLDEN_PLAINTEXT
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=256))
+    @example(bytes(32) + bytes(20))  # all-zero point: the exchange raises
+    @example(b"\x01" + bytes(31) + bytes(20))  # low-order point
+    def test_hostile_input_raises_only_decryption_error(self, ciphertext):
+        kp = gen_keypair(b"hostile")
+        with pytest.raises(DecryptionError):
+            open_sealed(kp.sk, ciphertext)
 
 
 _PROPERTY_KP = None

@@ -1,4 +1,7 @@
+import base64
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +105,13 @@ class TestFrames:
     def test_unknown_verb(self):
         assert handle_frame(Directory(), "DANCE").startswith("ERR")
 
+    @pytest.mark.parametrize("key_len", [1, 294])  # 294: an RSA-2048 DER public key
+    def test_register_rejects_key_not_32_bytes(self, key_len):
+        d = Directory()
+        pk_b64 = base64.b64encode(b"x" * key_len).decode()
+        assert handle_frame(d, f"REGISTER n000 h.sim:9000 {pk_b64}").startswith("ERR")
+        assert len(d) == 0
+
 
 class TestWireService:
     def test_register_list_over_sockets(self, keypair):
@@ -139,6 +149,26 @@ class TestWireService:
             assert [r.node_id for r in client.list()] == ["w1"]
         finally:
             server.stop()
+
+    def test_truncated_reply_raises_runtime_error(self):
+        # a stub directory that announces a 10-byte reply, sends 3 and closes
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1024)
+                conn.sendall(struct.pack(">I", 10) + b"REC")
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            with pytest.raises(RuntimeError):
+                DirectoryClient(Address("127.0.0.1", port)).list()
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
 
     def test_no_sk_bytes_cross_the_wire(self, keypair):
         # capture every frame by wrapping handle_frame's input/output

@@ -71,7 +71,7 @@ class TestPacketFraming:
     def test_exact_length_and_magic(self):
         pkt = onion.build_packet(b"p" * 10, b"o" * 20, 4096)
         assert len(pkt) == 4096
-        assert pkt[:4] == b"MXNN" and pkt[4] == 1
+        assert pkt[:4] == b"MXNN" and pkt[4] == 2
         payload, onion_ct = onion.parse_packet(pkt, expected_len=4096)
         assert payload == b"p" * 10 and onion_ct == b"o" * 20
 
@@ -80,7 +80,7 @@ class TestPacketFraming:
         pkt = onion.build_packet(b"PAY", b"ONIONCT", 256)
         # magic | version | payload len u32 BE | payload | onion len | onion | pad
         assert pkt[0:4] == b"MXNN"
-        assert pkt[4] == 0x01
+        assert pkt[4] == 0x02
         assert struct.unpack(">I", pkt[5:9]) == (3,)
         assert pkt[9:12] == b"PAY"
         assert struct.unpack(">I", pkt[12:16]) == (7,)
