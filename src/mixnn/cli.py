@@ -94,6 +94,11 @@ def _load_dataset(cfg: dict, prefix: str = "") -> harness.Dataset:
     return ds
 
 
+def _datasets(cfg: dict):
+    """(training set, test set or None); scoring uses the test set if any."""
+    return _load_dataset(cfg), _load_dataset(cfg, "test_") if "test_data" in cfg else None
+
+
 def _training_config(cfg: dict) -> TrainingConfig:
     return TrainingConfig(
         epochs=int(cfg.get("epochs", 1)),
@@ -207,7 +212,7 @@ def _exit_codes(out: str | None = None):
     metrics go to `out` when given."""
     try:
         yield
-    except (ConfigFileError, ConfigError) as exc:
+    except (ConfigFileError, ConfigError, onion.CapacityError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     except CrashDetected as exc:
@@ -269,8 +274,7 @@ def _initialized_cascade(cfg: dict):
 
 def _run_training(cfg: dict):
     with _initialized_cascade(cfg) as (designer, cascade, config):
-        train_ds = _load_dataset(cfg)
-        test_ds = _load_dataset(cfg, prefix="test_") if "test_data" in cfg else None
+        train_ds, test_ds = _datasets(cfg)
         metrics = designer.train(
             cascade, train_ds.images, train_ds.labels, config,
             test_data=test_ds.images if test_ds else None,
@@ -305,13 +309,14 @@ def train_cmd(config_path, out, simulated):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--simulated", is_flag=True, help="force simulated transport")
 def test_cmd(config_path, simulated):
-    """Train per config, then report holdout accuracy on stdout."""
+    """Train per config, then report test-set (else training-set) accuracy."""
     with _exit_codes():
         cfg = _read_config(config_path, simulated)
         with _initialized_cascade(cfg) as (designer, cascade, config):
-            ds = _load_dataset(cfg)
-            designer.train(cascade, ds.images, ds.labels, config)
-            accuracy = designer.test(cascade, ds.images, ds.labels,
+            train_ds, test_ds = _datasets(cfg)
+            designer.train(cascade, train_ds.images, train_ds.labels, config)
+            holdout = test_ds or train_ds
+            accuracy = designer.test(cascade, holdout.images, holdout.labels,
                                      batch_size=config.batch_size, config=config)
     click.echo(f"accuracy={accuracy!r}")
 
@@ -325,8 +330,7 @@ def baseline_cmd(config_path, out):
         cfg = parse_config(config_path)
         config = _training_config(cfg)
         model = nn.make_layer_specs(parse_model(cfg.get("model", TABLE_MODEL)), config.seed)
-        train_ds = _load_dataset(cfg)
-        test_ds = _load_dataset(cfg, prefix="test_") if "test_data" in cfg else None
+        train_ds, test_ds = _datasets(cfg)
         _, metrics = run_baseline(
             model, train_ds.images, train_ds.labels, config,
             test_data=test_ds.images if test_ds else None,

@@ -1,8 +1,8 @@
 """The designer client.
 
-Owns the model and data, provisions a cascade from the directory pool, and
-drives all four phases by packing onions and awaiting replies under a time
-bound. The designer is the only party that ever sees the whole route.
+Owns the model and data, provisions a cascade (a Session) from the directory
+pool, and drives all four phases by packing onions and awaiting replies under
+a time bound. The designer is the only party that ever sees the whole route.
 """
 
 import logging
@@ -90,13 +90,13 @@ class RunMetrics:
 
 
 @dataclass
-class _RunState:
-    """Designer-local per-cascade state: held boundary layers and timing."""
-    held_first: tuple | None = None  # (spec, params, opt)
-    held_last: tuple | None = None
-    rtt: float | None = None
-    first_cache: nn.LayerCache | None = None
-    last_cache: nn.LayerCache | None = None
+class Session(CascadeSpec):
+    """A provisioned cascade, which the onion packers take as it is, plus
+    what only the designer holds: the loop round-trip time and each held
+    boundary layer's (params, optimizer)."""
+    rtt: float | None = None  # set by send_designer_loop
+    first_state: tuple | None = None  # set by initialize_model
+    last_state: tuple | None = None
 
 
 class Designer:
@@ -115,8 +115,9 @@ class Designer:
     def provision(self, pool, model, plan: ProvisionPlan,
                   config: TrainingConfig | None = None,
                   packet_len: int = onion.DEFAULT_PACKET_LEN,
-                  exclude_ids=()) -> CascadeSpec:
-        """Select n servers from the pool and assign layers and dummies.
+                  exclude_ids=()) -> Session:
+        """Select n servers from the pool and assign layers and dummies; the
+        returned Session is what every later phase takes.
 
         model is the full ordered list of LayerSpec including any layers the
         config holds on the designer side; held layers are never assigned to
@@ -143,7 +144,7 @@ class Designer:
             CascadeEntry(rec.node_id, rec.address, rec.pk, layer)
             for rec, layer in zip(chosen, slots)
         ]
-        cascade = CascadeSpec(
+        return Session(
             entries=entries,
             designer_addr=self.channel.address,
             designer_pk=self.keypair.pk,
@@ -153,8 +154,6 @@ class Designer:
             held_first=held_first,
             held_last=held_last,
         )
-        cascade._run = _RunState()
-        return cascade
 
     @staticmethod
     def _place_dummies(remote, plan: ProvisionPlan, rng):
@@ -180,8 +179,8 @@ class Designer:
             slots.insert(pos - 1, None)
         return slots
 
-    def replace_cascade(self, old: CascadeSpec, pool, model, plan: ProvisionPlan,
-                        config: TrainingConfig | None = None, attempt: int = 1) -> CascadeSpec:
+    def replace_cascade(self, old: Session, pool, model, plan: ProvisionPlan,
+                        config: TrainingConfig | None = None) -> Session:
         """Provision a replacement cascade on an entirely disjoint server set.
 
         Training must restart from scratch: the failed servers hold the only
@@ -189,7 +188,7 @@ class Designer:
         """
         fresh_plan = ProvisionPlan(
             n=plan.n, p=plan.p, r=plan.r,
-            selection_seed=plan.selection_seed + attempt,
+            selection_seed=plan.selection_seed + 1,
             dummy_positions=plan.dummy_positions,
         )
         old_ids = [e.node_id for e in old.entries]
@@ -198,7 +197,7 @@ class Designer:
 
     # -- phases ------------------------------------------------------------
 
-    def send_designer_loop(self, cascade: CascadeSpec, timeout: float = 30.0) -> float:
+    def send_designer_loop(self, cascade: Session, timeout: float = 30.0) -> float:
         """Send a loop cover message around the whole cascade and back.
 
         Validates the route without revealing it to anyone and returns the
@@ -207,18 +206,15 @@ class Designer:
         t0 = self.channel.now()
         self.channel.send(cascade.entries[0].address, onion.pack_cover_loop(cascade))
         self._await(cascade, "cover", timeout)
-        rtt = self.channel.now() - t0
-        self._run(cascade).rtt = rtt
-        return rtt
+        cascade.rtt = self.channel.now() - t0
+        return cascade.rtt
 
-    def initialize_model(self, cascade: CascadeSpec, config: TrainingConfig | None = None):
-        """Distribute per-layer roles/chains/seeds, then probe readiness with
-        a zero-batch test sweep through every hop."""
-        config = config or TrainingConfig()
-        run = self._run(cascade)
-        run.held_first = self._build_held(cascade.held_first, config)
-        run.held_last = self._build_held(cascade.held_last, config)
-        run.first_cache = run.last_cache = None
+    def initialize_model(self, cascade: Session, config: TrainingConfig | None = None):
+        """Distribute per-layer roles/chains/seeds, rebuild any held layers
+        at the session's learning rate and momentum, then probe readiness
+        with a zero-batch test sweep through every hop."""
+        cascade.first_state = self._build_held(cascade, cascade.held_first)
+        cascade.last_state = self._build_held(cascade, cascade.held_last)
         self.channel.send(cascade.entries[0].address, onion.pack_init(cascade))
         in_dim = self._remote_input_dim(cascade)
         probe = np.zeros((0, in_dim), dtype=np.float32)
@@ -227,14 +223,13 @@ class Designer:
         self._await(cascade, onion.REPLY_OUTPUT, self._deadline(cascade, config))
 
     @staticmethod
-    def _build_held(spec, config: TrainingConfig):
+    def _build_held(cascade: Session, spec):
         if spec is None:
             return None
         params = nn.init_layer_params(spec)
-        opt = nn.OptimizerState(params, config.learning_rate, config.momentum)
-        return (spec, params, opt)
+        return (params, nn.OptimizerState(params, cascade.learning_rate, cascade.momentum))
 
-    def train(self, cascade: CascadeSpec, data, labels, config: TrainingConfig,
+    def train(self, cascade: Session, data, labels, config: TrainingConfig,
               test_data=None, test_labels=None) -> RunMetrics:
         """Run epochs of forward+backward iterations over mini-batches.
 
@@ -243,7 +238,6 @@ class Designer:
         """
         data = nn.as_matrix(data)
         labels = np.asarray(labels)
-        run = self._run(cascade)
         metrics = RunMetrics()
         deadline = self._deadline(cascade, config)
         for epoch in range(config.epochs):
@@ -252,8 +246,7 @@ class Designer:
             for idx in nn.batch_indices(len(data), config.batch_size,
                                         config.shuffle, config.seed, epoch):
                 try:
-                    loss = self._iteration(cascade, run, data[idx], labels[idx],
-                                           deadline)
+                    loss = self._iteration(cascade, data[idx], labels[idx], deadline)
                 except CrashDetected as crash:
                     metrics.crash_events.append(
                         f"epoch {epoch + 1} iteration {len(metrics.losses) + 1}: {crash}"
@@ -274,22 +267,20 @@ class Designer:
                                          time.perf_counter() - t0))
         return metrics
 
-    def _iteration(self, cascade: CascadeSpec, run: _RunState, x, y, deadline):
-        if run.held_first is not None:
-            spec, params, _ = run.held_first
-            x, run.first_cache = nn.layer_forward(spec, params, x)
-        wire_labels = None if run.held_last is not None else y
+    def _iteration(self, cascade: Session, x, y, deadline):
+        first, last = cascade.first_state, cascade.last_state
+        if first is not None:
+            x, first_cache = nn.layer_forward(cascade.held_first, first[0], x)
+        wire_labels = None if last is not None else y
         self.channel.send(cascade.entries[0].address,
                           onion.pack_forward(cascade, x, wire_labels))
 
         initial_grad = None
-        if run.held_last is not None:
+        if last is not None:
             _, payload = self._await(cascade, onion.REPLY_OUTPUT, deadline)
             z = onion.decode_matrix(payload)
-            spec, params, opt = run.held_last
-            loss, run.last_cache = nn.layer_forward(spec, params, z, labels=y)
-            initial_grad = nn.layer_backward(spec, params, opt, run.last_cache)
-            run.last_cache = None
+            loss, last_cache = nn.layer_forward(cascade.held_last, last[0], z, labels=y)
+            initial_grad = nn.layer_backward(cascade.held_last, *last, last_cache)
         else:
             _, payload = self._await(cascade, onion.REPLY_LOSS, deadline)
             loss = onion.decode_matrix(payload)[0, 0]
@@ -297,14 +288,12 @@ class Designer:
         self.channel.send(cascade.entries[-1].address,
                           onion.pack_backward(cascade, initial_grad))
         _, ack_payload = self._await(cascade, onion.REPLY_ACK, deadline)
-        if run.held_first is not None:
-            spec, params, opt = run.held_first
+        if first is not None:
             dx0 = onion.decode_matrix(ack_payload)
-            nn.layer_backward(spec, params, opt, run.first_cache, dx0)
-            run.first_cache = None
+            nn.layer_backward(cascade.held_first, *first, first_cache, dx0)
         return loss
 
-    def predict(self, cascade: CascadeSpec, data, end_slot: int | None = None,
+    def predict(self, cascade: Session, data, end_slot: int | None = None,
                 batch_size: int = 64, config: TrainingConfig | None = None) -> np.ndarray:
         """Log-probabilities (or end-slot activations) for data, batch by batch.
 
@@ -312,28 +301,25 @@ class Designer:
         layer, with loss steps acting as pass-throughs.
         """
         data = nn.as_matrix(data)
-        run = self._run(cascade)
-        config = config or TrainingConfig()
+        first, last = cascade.first_state, cascade.last_state
         deadline = self._deadline(cascade, config)
         full_route = end_slot is None
         end = cascade.n if full_route else end_slot
         outs = []
         for start in range(0, len(data), batch_size):
             x = data[start:start + batch_size]
-            if run.held_first is not None:
-                spec, params, _ = run.held_first
-                x, _ = nn.layer_forward(spec, params, x, train=False)
+            if first is not None:
+                x, _ = nn.layer_forward(cascade.held_first, first[0], x, train=False)
             self.channel.send(cascade.entries[0].address,
                               onion.pack_test(cascade, x, end_slot=end))
             _, payload = self._await(cascade, onion.REPLY_OUTPUT, deadline)
             out = onion.decode_matrix(payload)
-            if full_route and run.held_last is not None:
-                spec, params, _ = run.held_last
-                out, _ = nn.layer_forward(spec, params, out, train=False)
+            if full_route and last is not None:
+                out, _ = nn.layer_forward(cascade.held_last, last[0], out, train=False)
             outs.append(out)
         return np.concatenate(outs, axis=0) if outs else np.zeros((0, 0), dtype=np.float32)
 
-    def test(self, cascade: CascadeSpec, data, labels, end_slot: int | None = None,
+    def test(self, cascade: Session, data, labels, end_slot: int | None = None,
              batch_size: int = 64, config: TrainingConfig | None = None) -> float:
         """Classification accuracy: proportion of correct argmax predictions."""
         logp = self.predict(cascade, data, end_slot=end_slot, batch_size=batch_size,
@@ -341,7 +327,7 @@ class Designer:
         predictions = np.argmax(logp, axis=1)
         return float(np.mean(predictions == np.asarray(labels)))
 
-    def validate_model(self, cascade: CascadeSpec, data, labels, threshold: float,
+    def validate_model(self, cascade: Session, data, labels, threshold: float,
                        config: TrainingConfig | None = None) -> bool:
         """Byzantine check: accept the trained model only if holdout accuracy
         reaches the threshold. A False verdict calls for cascade replacement."""
@@ -351,7 +337,7 @@ class Designer:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _await(self, cascade: CascadeSpec, expected: str, timeout: float):
+    def _await(self, cascade: Session, expected: str, timeout: float):
         """Wait for the designer-bound reply of the expected kind.
 
         Raises CrashDetected on deadline expiry; deliberately never says
@@ -378,20 +364,14 @@ class Designer:
             log.warning("designer ignoring unexpected reply kind=%s (awaiting %s)",
                         kind, expected)
 
-    def _run(self, cascade: CascadeSpec) -> _RunState:
-        if not hasattr(cascade, "_run"):
-            cascade._run = _RunState()
-        return cascade._run
-
-    def _deadline(self, cascade: CascadeSpec, config: TrainingConfig | None) -> float:
+    def _deadline(self, cascade: Session, config: TrainingConfig | None) -> float:
         if config is not None and config.time_bound_T is not None:
             return config.time_bound_T
-        rtt = self._run(cascade).rtt
-        if rtt is not None and rtt > 0:
-            return 100.0 * rtt
+        if cascade.rtt is not None and cascade.rtt > 0:
+            return 100.0 * cascade.rtt
         return 30.0
 
-    def _remote_input_dim(self, cascade: CascadeSpec) -> int:
+    def _remote_input_dim(self, cascade: Session) -> int:
         for e in cascade.entries:
             if e.layer is not None:
                 for op in e.layer.chain:

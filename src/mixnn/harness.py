@@ -4,8 +4,8 @@ injection, dataset ingestion, and the single-process baseline oracle.
 Two transports expose identical send/receive-with-deadline semantics:
 
 * SimNet - a deterministic single-threaded event scheduler with virtual
-  time. Per-hop latency and processing delay are fixed (optional seeded
-  jitter), so whole runs are reproducible bit for bit.
+  time. Per-hop latency and processing delay are fixed, so whole runs are
+  reproducible bit for bit.
 * SocketFabric - real TCP on loopback. Each node serves sequentially from
   its own thread; a connection starts with one hello/version byte and then
   carries fixed-length packets, so no extra framing is needed.
@@ -27,7 +27,7 @@ import numpy as np
 from . import directory as directory_mod
 from . import nn, node, onion
 from .crypto import Address, KeyRecord, gen_keypair
-from .designer import RunMetrics, EpochRow, TrainingConfig
+from .designer import RunMetrics, EpochRow, Session, TrainingConfig
 from .directory import Directory
 from .node import NodeState, Send
 
@@ -53,7 +53,6 @@ class NodeRuntime:
         self.extra_delay = 0.0
         self.cover_rate = 0.0  # cover packets per second of simulated time
         self.cover_emitted = 0
-        self.handled = 0
 
     @property
     def node_id(self):
@@ -73,7 +72,6 @@ class NodeRuntime:
         if (self.tamper_at_iteration is not None
                 and self.state.backward_count >= self.tamper_at_iteration - 1):
             self.state.tamper_gradients = True
-        self.handled += 1
         action = node.handle_packet(self.state, data, src)
         return action if isinstance(action, Send) else None
 
@@ -96,6 +94,7 @@ class _Event:
     dst: object = field(compare=False, default=None)
     src: object = field(compare=False, default=None)
     data: bytes = field(compare=False, default=b"")
+    until: float | None = field(compare=False, default=None)  # cover: emit until
 
 
 class _SimNode:
@@ -108,13 +107,10 @@ class SimNet:
     """Deterministic virtual-time network: in-order per-channel delivery,
     sequential per-node processing."""
 
-    def __init__(self, latency: float = 0.001, proc_delay: float = 0.0005,
-                 jitter: float = 0.0, seed: int = 0):
+    def __init__(self, latency: float = 0.001, proc_delay: float = 0.0005, seed: int = 0):
         self.latency = latency
         self.proc_delay = proc_delay
-        self.jitter = jitter
         self.now = 0.0
-        self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
         self._cover_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
         self._seq = itertools.count()
         self._events: list[_Event] = []
@@ -141,19 +137,12 @@ class SimNet:
             return
         gap = float(self._cover_rng.exponential(1.0 / rate))
         if after + gap <= until:
-            ev = _Event(after + gap, next(self._seq), "cover", dst=addr)
-            ev.until = until
-            heapq.heappush(self._events, ev)
-
-    def _hop_latency(self) -> float:
-        if self.jitter > 0:
-            return self.latency + float(self._rng.uniform(0.0, self.jitter))
-        return self.latency
+            heapq.heappush(self._events, _Event(after + gap, next(self._seq), "cover",
+                                                dst=addr, until=until))
 
     def send(self, src, dst: Address, data: bytes, at: float | None = None):
         at = self.now if at is None else at
-        heapq.heappush(self._events, _Event(at + self._hop_latency(),
-                                            next(self._seq), "deliver",
+        heapq.heappush(self._events, _Event(at + self.latency, next(self._seq), "deliver",
                                             dst=dst, src=src, data=data))
 
     def _process(self, ev: _Event):
@@ -292,6 +281,7 @@ class SocketNodeServer(_AcceptLoop):
     def __init__(self, runtime: NodeRuntime, host: str = "127.0.0.1"):
         super().__init__(host, name=f"node-{runtime.node_id}")
         self.runtime = runtime
+        self._last_sent = None
 
     def _serve(self, conn, peer):
         for data in _read_packets(conn, self.runtime.state.packet_len):
@@ -404,15 +394,13 @@ class Pool:
             server.stop()
 
 
-def spawn_pool(fabric, m: int, directory, packet_len: int = onion.DEFAULT_PACKET_LEN,
-               metadata=None, name_prefix: str = "n") -> Pool:
+def spawn_pool(fabric, m: int, directory, packet_len: int = onion.DEFAULT_PACKET_LEN) -> Pool:
     """Create m layer servers with fresh key pairs, register them, and leave
     them listening on the given fabric (SimNet or "socket")."""
     runtimes, records, servers = [], [], []
     for k in range(m):
-        node_id = f"{name_prefix}{k:03d}"
+        node_id = f"n{k:03d}"
         runtime = NodeRuntime(node_id, gen_keypair(), packet_len=packet_len)
-        meta = dict(metadata or {})
         if isinstance(fabric, SimNet):
             addr = Address(f"{node_id}.sim", 9000)
             fabric.add_runtime(addr, runtime)
@@ -421,30 +409,22 @@ def spawn_pool(fabric, m: int, directory, packet_len: int = onion.DEFAULT_PACKET
             server.start()
             servers.append(server)
             addr = server.address
-        rec = KeyRecord(node_id, addr, runtime.state.keypair.pk, meta)
+        rec = KeyRecord(node_id, addr, runtime.state.keypair.pk, {})
         directory.register(rec)
         runtimes.append(runtime)
         records.append(rec)
     return Pool(runtimes, records, servers)
 
 
-def cascade_runtimes(cascade, pool: Pool):
-    """Runtimes backing a cascade's slots, in slot order."""
-    return [pool.runtime(e.node_id) for e in cascade.entries]
-
-
-def collect_cascade_params(cascade, pool: Pool):
+def collect_cascade_params(cascade: Session, pool: Pool):
     """Parameter lists for every actual layer, in model order, including any
     designer-held boundary layers. Shapes match run_baseline's output."""
-    out = []
-    run = getattr(cascade, "_run", None)
-    if run is not None and run.held_first is not None:
-        out.append(run.held_first[1])
+    out = [cascade.first_state[0]] if cascade.first_state is not None else []
     for e in cascade.entries:
         if e.layer is not None:
             out.append(pool.runtime(e.node_id).state.params)
-    if run is not None and run.held_last is not None:
-        out.append(run.held_last[1])
+    if cascade.last_state is not None:
+        out.append(cascade.last_state[0])
     return out
 
 

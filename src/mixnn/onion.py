@@ -51,6 +51,7 @@ from .nn import LINEAR, PrimitiveOp, LayerSpec
 MAGIC = b"MXNN"
 VERSION = 2
 DEFAULT_PACKET_LEN = 524288
+COVER_PAYLOAD_LEN = 4096  # random bytes sealed as a cover packet's payload
 HEADER_LEN = len(MAGIC) + 1 + 4 + 4
 
 
@@ -264,9 +265,6 @@ class CascadeSpec:
     def n(self) -> int:
         return len(self.entries)
 
-    def actual_slots(self):
-        return [i for i, e in enumerate(self.entries) if e.layer is not None]
-
 
 def build_packet(payload_ct: bytes, onion_ct: bytes, packet_len: int) -> bytes:
     """Assemble a packet and pad it with fresh random bytes to packet_len."""
@@ -378,7 +376,7 @@ def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytes:
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_cover_loop(cascade: CascadeSpec, payload_len: int = 4096) -> bytes:
+def pack_cover_loop(cascade: CascadeSpec) -> bytes:
     """A loop message: forward-shaped cover onion that traverses every hop and
     comes back to the designer. Every record is flagged cover and padded with
     random junk fields; hops relay it without any model computation."""
@@ -386,15 +384,15 @@ def pack_cover_loop(cascade: CascadeSpec, payload_len: int = 4096) -> bytes:
     hops = cascade.entries + [designer]
     records = [OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32)) for _ in hops]
     onion = _nest(hops, records)
-    payload = crypto.seal(cascade.entries[0].pk, os.urandom(payload_len))
+    payload = crypto.seal(cascade.entries[0].pk, os.urandom(COVER_PAYLOAD_LEN))
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_single_cover(target_pk: bytes, packet_len: int, payload_len: int = 4096) -> bytes:
+def pack_single_cover(target_pk: bytes, packet_len: int) -> bytes:
     """One-hop cover packet a node sends to an adjacent peer, who drops it."""
     rec = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
     onion = crypto.seal(target_pk, encode_record(rec))
-    payload = crypto.seal(target_pk, os.urandom(payload_len))
+    payload = crypto.seal(target_pk, os.urandom(COVER_PAYLOAD_LEN))
     return build_packet(payload, onion, packet_len)
 
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,12 @@ SMALL_CHAINS = [
 ]
 
 SMALL_L = 262144
+
+# tests that start `python -m mixnn.cli` need this checkout's src/ too;
+# pytest's own `pythonpath` setting reaches only this process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

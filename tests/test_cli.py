@@ -150,6 +150,27 @@ class TestTestCommand:
         result = CliRunner().invoke(cli.main, ["test", "--config", cfg])
         assert result.exit_code == 3, result.output
 
+    def test_missing_holdout_file_is_io_error(self, tmp_path):
+        # the accuracy is scored on the configured test set, not on the
+        # training set, so an absent test file must fail like under `train`
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + "test_data = mnist\n"
+                    f"test_images = {tmp_path / 'absent-images'}\n"
+                    f"test_labels = {tmp_path / 'absent-labels'}\n")
+        result = CliRunner().invoke(cli.main, ["test", "--config", cfg])
+        assert result.exit_code == 5, result.output
+
+
+class TestPacketCapacity:
+    @pytest.mark.parametrize("command", ["train", "test"])
+    def test_batch_larger_than_packet_is_config_error(self, tmp_path, command):
+        # 64 x 784 float32 inputs need about 200 KB, more than L = 128 KiB
+        cfg = write(tmp_path, "sim.cfg",
+                    SIM_CONFIG + "packet_len = 131072\nbatch_size = 64\n")
+        result = CliRunner().invoke(cli.main, [command, "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestBaselineAndCompare:
     def test_train_equals_baseline_through_cli(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -8,8 +9,9 @@ import pytest
 from mixnn import nn, onion
 from mixnn.designer import (ConfigError, CrashDetected, ProvisionPlan,
                             TrainingConfig)
-from mixnn.harness import (FaultAction, FaultPlan, collect_cascade_params,
-                           inject_fault, run_baseline, synthetic_two_gaussians)
+from mixnn.harness import (FaultAction, FaultPlan, baseline_predict,
+                           collect_cascade_params, inject_fault, run_baseline,
+                           synthetic_two_gaussians)
 from mixnn.onion import unwrap
 
 from conftest import (SimWorld, params_equal, plan_np, small_config,
@@ -112,6 +114,38 @@ class TestInitialize:
         ds = small_dataset(n=8)
         with pytest.raises(CrashDetected):
             sim_world.designer.train(cascade, ds.images, ds.labels, config)
+
+
+class TestSession:
+    @pytest.mark.parametrize("hold_first,hold_last",
+                             [(True, False), (False, True), (True, True)],
+                             ids=["first", "last", "both"])
+    def test_held_layers_match_oracle(self, hold_first, hold_last):
+        config = small_config(epochs=2, hold_first_layer=hold_first,
+                              hold_last_layer=hold_last)
+        model = small_model()
+        remote = 5 - hold_first - hold_last
+        world = SimWorld()
+        cascade = world.train_ready(model, plan_np(remote, remote), config)
+        ds = small_dataset(n=64)
+        metrics = world.designer.train(cascade, ds.images, ds.labels, config)
+        params, base = run_baseline(model, ds.images, ds.labels, config)
+        assert metrics.losses == base.losses
+        assert params_equal(collect_cascade_params(cascade, world.pool), params)
+        out = world.designer.predict(cascade, ds.images, batch_size=32, config=config)
+        npt.assert_array_equal(out, baseline_predict(model, params, ds.images,
+                                                     batch_size=32))
+        world.designer.initialize_model(cascade, config)
+        assert params_equal(collect_cascade_params(cascade, world.pool),
+                            [nn.init_layer_params(s) for s in model])
+
+    def test_session_has_only_declared_attributes(self):
+        config = small_config(hold_first_layer=True, hold_last_layer=True)
+        world = SimWorld()
+        session = world.train_ready(small_model(), plan_np(3, 3), config)
+        ds = small_dataset(n=32)
+        world.designer.train(session, ds.images, ds.labels, config)
+        assert set(vars(session)) == {f.name for f in dataclasses.fields(session)}
 
 
 class TestTrain:
