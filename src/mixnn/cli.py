@@ -16,8 +16,7 @@ import click
 
 from . import harness, nn, onion
 from .crypto import Address, KeyPair, KeyRecord, gen_keypair
-from .designer import (ConfigError, CrashDetected, Designer, ProvisionPlan,
-                       TrainingConfig)
+from .designer import CrashDetected, Designer, ProvisionPlan, TrainingConfig
 from .directory import Directory
 from .harness import (DirectoryClient, DirectoryServer, NodeRuntime, SimNet,
                       SocketNodeServer, load_mnist_idx, run_baseline,
@@ -212,7 +211,7 @@ def _exit_codes(out: str | None = None):
     metrics go to `out` when given."""
     try:
         yield
-    except (ConfigFileError, ConfigError, onion.CapacityError) as exc:
+    except (ConfigFileError, ValueError) as exc:  # ConfigError and CapacityError too
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     except CrashDetected as exc:

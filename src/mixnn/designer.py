@@ -2,7 +2,9 @@
 
 Owns the model and data, provisions a cascade (a Session) from the directory
 pool, and drives all four phases by packing onions and awaiting replies under
-a time bound. The designer is the only party that ever sees the whole route.
+a time bound. Each phase is one onion with one packet in flight, answered by
+its last hop: set-up is the loop message plus one acknowledged INIT. The
+designer is the only party that ever sees the whole route.
 """
 
 import logging
@@ -210,17 +212,13 @@ class Designer:
         return cascade.rtt
 
     def initialize_model(self, cascade: Session, config: TrainingConfig | None = None):
-        """Distribute per-layer roles/chains/seeds, rebuild any held layers
-        at the session's learning rate and momentum, then probe readiness
-        with a zero-batch test sweep through every hop."""
+        """Rebuild any held layers at the session's learning rate and
+        momentum, distribute per-layer roles/chains/seeds, and wait for the
+        last hop's acknowledgement."""
         cascade.first_state = self._build_held(cascade, cascade.held_first)
         cascade.last_state = self._build_held(cascade, cascade.held_last)
         self.channel.send(cascade.entries[0].address, onion.pack_init(cascade))
-        in_dim = self._remote_input_dim(cascade)
-        probe = np.zeros((0, in_dim), dtype=np.float32)
-        self.channel.send(cascade.entries[0].address,
-                          onion.pack_test(cascade, probe, end_slot=cascade.n))
-        self._await(cascade, onion.REPLY_OUTPUT, self._deadline(cascade, config))
+        self._await(cascade, onion.REPLY_ACK, self._deadline(cascade, config))
 
     @staticmethod
     def _build_held(cascade: Session, spec):
@@ -370,12 +368,3 @@ class Designer:
         if cascade.rtt is not None and cascade.rtt > 0:
             return 100.0 * cascade.rtt
         return 30.0
-
-    def _remote_input_dim(self, cascade: Session) -> int:
-        for e in cascade.entries:
-            if e.layer is not None:
-                for op in e.layer.chain:
-                    if op.kind == nn.LINEAR:
-                        return op.in_dim
-                return 1
-        raise ConfigError("cascade has no actual layer")

@@ -110,8 +110,13 @@ def make_layer_specs(chains, seed: int):
     """Assign a derived parameter seed to every layer of a model.
 
     Both the cascade initialization and the single-process baseline call this
-    with the same model/seed, so parameters match bitwise.
+    with the same model/seed, so parameters match bitwise. Raises ShapeError
+    when a linear op does not take the width that reaches it.
     """
+    linears = [(i, op) for i, chain in enumerate(chains) for op in chain if op.kind == LINEAR]
+    for (_, a), (i, b) in zip(linears, linears[1:]):
+        if b.in_dim != a.out_dim:
+            raise ShapeError(f"layer {i + 1} takes width {b.in_dim} but gets {a.out_dim}")
     specs = []
     for i, chain in enumerate(chains):
         layer_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1, np.uint64)[0])

@@ -1,10 +1,11 @@
 """Layer-server packet handling.
 
-A node unwraps one onion layer, dispatches on the op code, performs its DL
-or relay role, re-seals whatever it must forward, and hands back a single
-outbound (address, packet) action. All state lives in NodeState; nothing
-here touches a transport, so the same logic runs under the simulated
-scheduler and real sockets.
+A node unwraps one onion layer, checks the op against its state once, in
+handle_packet, performs its DL or relay role, re-seals whatever it must
+forward, and hands back a single outbound (address, packet) action. Every
+phase, INIT included, ends at a last hop that answers the designer. All
+state lives in NodeState; nothing here touches a transport, so the same
+logic runs under the simulated scheduler and real sockets.
 """
 
 import logging
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import nn, onion
 from .crypto import Address, KeyPair, DecryptionError, seal
-from .onion import OpCode, OnionRecord, FramingError
+from .onion import OpCode, OnionRecord, FramingError, ROLE_ACTUAL, ROLE_DUMMY
 
 log = logging.getLogger("mixnn.node")
 
@@ -35,8 +36,6 @@ class Drop:
 
 
 ROLE_UNINIT = "uninitialized"
-ROLE_ACTUAL = "actual"
-ROLE_DUMMY = "dummy"
 
 
 @dataclass
@@ -65,27 +64,31 @@ class NodeState:
 def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
     """Process one inbound packet; returns Send or Drop and logs the outcome."""
     try:
-        record, payload, next_packet = onion.unwrap(
-            state.keypair.sk, packet, expected_len=state.packet_len
-        )
+        record, payload, _ = onion.unwrap(state.keypair.sk, packet,
+                                          expected_len=state.packet_len)
     except (DecryptionError, FramingError) as exc:
         log.warning("node=%s op=? outcome=dropped src=%s err=%s", state.node_id, src, exc)
         return Drop("tamper-or-misroute")
 
     state._learn_peer(record)
+    op = record.op.name.lower()
     try:
         if record.cover:
             action = _relay_or_drop(state, record, payload, "cover")
         elif record.op == OpCode.INIT:
-            action = do_init(state, record, next_packet)
+            action = do_init(state, record)
+        elif state.role == ROLE_UNINIT:
+            raise ProtocolError(f"{op} before init")
+        elif payload is None and record.op in (OpCode.FORWARD, OpCode.TEST):
+            raise ProtocolError(f"{op} without payload")
+        elif state.role == ROLE_DUMMY:
+            action = _relay_or_drop(state, record, payload, op)
         elif record.op == OpCode.FORWARD:
             action = do_forward(state, record, payload)
         elif record.op == OpCode.BACKWARD:
             action = do_backward(state, record, payload)
-        elif record.op == OpCode.TEST:
-            action = do_test(state, record, payload)
         else:
-            raise ProtocolError(f"unknown op {record.op}")
+            action = do_test(state, record, payload)
     except (ProtocolError, nn.ProtocolOrderError, ValueError, IndexError) as exc:
         # ValueError covers shape/framing trouble in decoded payloads, which a
         # byzantine predecessor controls; the node drops rather than dies
@@ -129,13 +132,13 @@ def _relay_or_drop(state: NodeState, record: OnionRecord, payload, what: str):
     return _seal_on(state, record, payload)
 
 
-def do_init(state: NodeState, record: OnionRecord, next_packet):
-    """Build this hop's part of the model and optimizer; replaces any prior
-    state entirely."""
-    if record.role == onion.ROLE_DUMMY:
+def do_init(state: NodeState, record: OnionRecord):
+    """Build this hop's part of the model and optimizer, replacing any prior
+    state entirely; then pass the onion on, or acknowledge to the designer."""
+    if record.role == ROLE_DUMMY:
         state.role = ROLE_DUMMY
         state.spec = state.params = state.opt = None
-    elif record.role == onion.ROLE_ACTUAL:
+    elif record.role == ROLE_ACTUAL:
         if record.chain is None or record.seed is None:
             raise ProtocolError("init record missing chain or seed")
         spec = nn.LayerSpec(record.chain, seed=record.seed)
@@ -153,23 +156,10 @@ def do_init(state: NodeState, record: OnionRecord, next_packet):
     state.cache = None
     state.forward_count = 0
     state.backward_count = 0
-    if record.next is not None and next_packet is not None:
-        return Send(record.next, next_packet)
-    return Drop("init-terminal")
-
-
-def _require_initialized(state: NodeState, op: str):
-    if state.role == ROLE_UNINIT:
-        raise ProtocolError(f"{op} before init")
+    return _send_on_or_reply(state, record, onion.REPLY_ACK, None)
 
 
 def do_forward(state: NodeState, record: OnionRecord, payload):
-    _require_initialized(state, "forward")
-    if payload is None:
-        raise ProtocolError("forward without payload")
-    if state.role == ROLE_DUMMY:
-        return _relay_or_drop(state, record, payload, "forward")
-
     if state.cache is not None:
         raise ProtocolError("forward with an unconsumed cache")
     x = onion.decode_matrix(payload)
@@ -186,10 +176,6 @@ def do_forward(state: NodeState, record: OnionRecord, payload):
 
 
 def do_backward(state: NodeState, record: OnionRecord, payload):
-    _require_initialized(state, "backward")
-    if state.role == ROLE_DUMMY:
-        return _relay_or_drop(state, record, payload, "backward")
-
     if state.cache is None:
         raise ProtocolError("backward before forward")
     if payload is None and not state.spec.ends_in_loss():
@@ -213,12 +199,6 @@ def do_backward(state: NodeState, record: OnionRecord, payload):
 
 
 def do_test(state: NodeState, record: OnionRecord, payload):
-    _require_initialized(state, "test")
-    if payload is None:
-        raise ProtocolError("test without payload")
-    if state.role == ROLE_DUMMY:
-        return _relay_or_drop(state, record, payload, "test")
-
     x = onion.decode_matrix(payload)
     state.compute_count += 1
     out, _ = nn.layer_forward(state.spec, state.params, x, train=False)

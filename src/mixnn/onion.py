@@ -39,7 +39,7 @@ so a node drops the packet that carried it.
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -311,18 +311,20 @@ def _nest(hops, records) -> bytes:
     return inner
 
 
-def _nest_to_designer(cascade: CascadeSpec, hops, op: OpCode, **last) -> bytes:
-    """A route over hops whose last hop replies to the designer; `last` adds
-    fields to that hop's record."""
-    records = [OnionRecord(op=op) for _ in hops[1:]]
-    records.append(OnionRecord(op=op, return_addr=cascade.designer_addr,
-                               return_pk=cascade.designer_pk, **last))
+def _nest_to_designer(cascade: CascadeSpec, hops, op: OpCode, records=None, **last) -> bytes:
+    """A route over hops whose last hop replies to the designer. records
+    defaults to one record per hop carrying only op; the last record gets
+    the designer's return address and key, and the fields in `last`."""
+    records = records or [OnionRecord(op=op) for _ in hops]
+    records[-1] = replace(records[-1], return_addr=cascade.designer_addr,
+                          return_pk=cascade.designer_pk, **last)
     return _nest(hops, records)
 
 
 def pack_init(cascade: CascadeSpec) -> bytes:
     """Model-initialization onion: each hop learns its own role, chain,
-    optimizer settings and seed, plus its successor's address."""
+    optimizer settings and seed, plus its successor's address; the last hop
+    acknowledges to the designer."""
     records = []
     for e in cascade.entries:
         if e.layer is None:
@@ -331,7 +333,8 @@ def pack_init(cascade: CascadeSpec) -> bytes:
             records.append(OnionRecord(op=OpCode.INIT, role=ROLE_ACTUAL, chain=e.layer.chain,
                                        seed=e.layer.seed, learning_rate=cascade.learning_rate,
                                        momentum=cascade.momentum))
-    return build_packet(b"", _nest(cascade.entries, records), cascade.packet_len)
+    onion = _nest_to_designer(cascade, cascade.entries, OpCode.INIT, records)
+    return build_packet(b"", onion, cascade.packet_len)
 
 
 def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | None) -> bytes:
@@ -410,9 +413,9 @@ def unwrap(sk: bytes, packet: bytes, expected_len: int | None = None):
 
     Returns (record, payload_plain, next_packet). next_packet is the inner
     onion repackaged with an empty payload and fresh padding at the incoming
-    packet's length; callers that forward a payload rebuild the packet
-    themselves via build_packet. Raises DecryptionError for onion or payload
-    material not sealed to this key, FramingError for malformed packets.
+    packet's length, for peeling an onion hop by hop; a node builds its own
+    outbound packet. Raises DecryptionError for onion or payload material not
+    sealed to this key, FramingError for malformed packets.
     """
     payload_ct, onion_ct = parse_packet(packet, expected_len)
     record = decode_record(crypto.open_sealed(sk, onion_ct))

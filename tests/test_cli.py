@@ -172,6 +172,32 @@ class TestPacketCapacity:
         assert "Traceback" not in result.output
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize("extra", [
+        pytest.param("epochs = two\n", id="epochs"),
+        pytest.param("packet_len = big\n", id="packet-len"),
+        pytest.param("model = linear:7\n", id="model"),
+        pytest.param("fault_plan = {plan}\n", id="fault-plan"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, extra):
+        plan = write(tmp_path, "faults.txt", "garbage\n")
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + extra.format(plan=plan))
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["train", "test", "baseline"])
+    def test_layers_that_do_not_chain_are_config_error(self, tmp_path, command):
+        # layer 1 puts out 32 features, layer 2 takes 64
+        model = "linear:784x32,relu | linear:64x16,relu | linear:16x10 | logsoftmax | nllloss"
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + f"model = {model}\n")
+        result = CliRunner().invoke(cli.main, [command, "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and "layer 2" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestBaselineAndCompare:
     def test_train_equals_baseline_through_cli(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg",

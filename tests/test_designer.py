@@ -108,6 +108,35 @@ class TestInitialize:
         fresh = collect_cascade_params(cascade, sim_world.pool)
         assert params_equal(fresh, [nn.init_layer_params(s) for s in model])
 
+    def test_one_packet_in_flight_and_n_plus_1_packets(self, sim_world):
+        config = small_config()
+        cascade = sim_world.cascade(small_model(), plan_np(5, 5), config)
+        sim_world.designer.send_designer_loop(cascade)
+        outstanding = {"n": 0, "max": 0}
+        sent = []
+        channel, net = sim_world.designer.channel, sim_world.net
+        real_send, real_recv, real_net_send = channel.send, channel.recv, net.send
+
+        def send(dst, data):
+            outstanding["n"] += 1
+            outstanding["max"] = max(outstanding["max"], outstanding["n"])
+            real_send(dst, data)
+
+        def recv(timeout):
+            data = real_recv(timeout)
+            outstanding["n"] -= 1
+            return data
+
+        def net_send(src, dst, data, at=None):
+            sent.append(dst)
+            real_net_send(src, dst, data, at=at)
+
+        channel.send, channel.recv, net.send = send, recv, net_send
+        sim_world.designer.initialize_model(cascade, config)
+        assert outstanding["max"] == 1
+        assert len(sent) == cascade.n + 1
+        assert sent[-1] == cascade.designer_addr
+
     def test_uninitialized_cascade_rejects_forward(self, sim_world):
         config = small_config(time_bound_T=0.5)
         cascade = sim_world.cascade(small_model(), plan_np(5, 5), config)

@@ -103,6 +103,18 @@ class TestInit:
         again = [p[0] for p in states[0].params if p]
         npt.assert_array_equal(fresh[0], again[0])
 
+    def test_last_hop_acknowledges_init(self, keys):
+        cascade, states = build(keys, SMALL, dummies=(1,))
+        pkt = onion.pack_init(cascade)
+        for state in states:
+            action = handle_packet(state, pkt)
+            assert isinstance(action, Send)
+            pkt = action.data
+        assert action.dst == cascade.designer_addr
+        record, payload, _ = onion.unwrap(keys[-1].sk, action.data, L)
+        assert record.op == OpCode.INIT and record.reply == onion.REPLY_ACK
+        assert payload is None
+
 
 class TestStateMachine:
     def test_forward_before_init_rejected(self, keys):
@@ -171,6 +183,86 @@ class TestStateMachine:
         payload = onion.encode_matrix(np.zeros((2, 4), dtype=np.float32))
         pkt = onion.build_packet(seal(keys[2].pk, payload), seal(keys[2].pk, record), L)
         assert isinstance(handle_packet(states[2], pkt), Drop)
+
+
+NEXT = Address("next.test", 7100)
+F, B, T = OpCode.FORWARD, OpCode.BACKWARD, OpCode.TEST
+
+
+class TestDispatch:
+    """One row per distinct outcome of handle_packet for the compute ops:
+    a Send to the next hop, a Send to the designer, or a Drop whose reason
+    starts with the given text. The cascade is SMALL with a dummy in slot 1:
+    0 linear 8x6 + relu, 1 dummy, 2 linear 6x4, 3 logsoftmax + nllloss."""
+
+    @pytest.mark.parametrize("op,slot,prep,route,cols,expected", [
+        pytest.param(F, 0, "uninit", "on", 8, "protocol-error: forward before init",
+                     id="forward-before-init"),
+        pytest.param(F, 0, "uninit", "on", None, "protocol-error: forward before init",
+                     id="forward-before-init-without-payload"),
+        pytest.param(B, 0, "uninit", "on", 6, "protocol-error: backward before init",
+                     id="backward-before-init"),
+        pytest.param(T, 0, "uninit", "on", 8, "protocol-error: test before init",
+                     id="test-before-init"),
+        pytest.param(F, 0, "init", "on", None, "protocol-error: forward without payload",
+                     id="forward-without-payload"),
+        pytest.param(F, 1, "init", "on", None, "protocol-error: forward without payload",
+                     id="forward-without-payload-dummy"),
+        pytest.param(T, 0, "init", "on", None, "protocol-error: test without payload",
+                     id="test-without-payload"),
+        pytest.param(T, 1, "init", "on", None, "protocol-error: test without payload",
+                     id="test-without-payload-dummy"),
+        pytest.param(F, 1, "init", "on", 6, "next", id="forward-dummy-relay"),
+        pytest.param(B, 1, "init", "on", 6, "next", id="backward-dummy-relay"),
+        pytest.param(B, 1, "init", "on", None, "next", id="backward-dummy-relay-without-payload"),
+        pytest.param(T, 1, "init", "on", 6, "next", id="test-dummy-relay"),
+        pytest.param(F, 1, "init", "reply", 6, "forward-terminal", id="forward-dummy-terminal"),
+        pytest.param(B, 1, "init", "reply", 6, "backward-terminal", id="backward-dummy-terminal"),
+        pytest.param(T, 1, "init", "reply", 6, "test-terminal", id="test-dummy-terminal"),
+        pytest.param(B, 2, "init", "on", 4, "protocol-error: backward before forward",
+                     id="backward-before-forward"),
+        pytest.param(B, 2, "forwarded", "on", None,
+                     "protocol-error: backward without a gradient payload",
+                     id="backward-without-gradient"),
+        pytest.param(F, 0, "forwarded", "on", 8, "protocol-error: forward with an unconsumed",
+                     id="forward-with-unconsumed-cache"),
+        pytest.param(F, 0, "init", "on", 8, "next", id="forward-pass-on"),
+        pytest.param(B, 2, "forwarded", "on", 4, "next", id="backward-pass-on"),
+        pytest.param(T, 0, "init", "on", 8, "next", id="test-pass-on"),
+        pytest.param(F, 2, "init", "reply", 6, "designer", id="forward-reply-output"),
+        pytest.param(F, 3, "init", "loss", 4, "designer", id="forward-reply-loss"),
+        pytest.param(B, 0, "forwarded", "reply", 6, "designer", id="backward-reply"),
+        pytest.param(T, 2, "init", "reply", 6, "designer", id="test-reply"),
+        pytest.param(F, 0, "init", "nowhere", 8,
+                     "protocol-error: forward record with nowhere to send", id="forward-nowhere"),
+        pytest.param(B, 2, "forwarded", "nowhere", 4,
+                     "protocol-error: backward record with nowhere to send", id="backward-nowhere"),
+        pytest.param(T, 0, "init", "nowhere", 8,
+                     "protocol-error: test record with nowhere to send", id="test-nowhere"),
+    ])
+    def test_outcome(self, keys, op, slot, prep, route, cols, expected):
+        cascade, states = build(keys, SMALL, dummies=(1,))
+        if prep != "uninit":
+            init_all(cascade, states)
+        if prep == "forwarded":
+            run_chain(cascade, states, onion.pack_forward(
+                cascade, np.ones((2, 8), dtype=np.float32), np.array([0, 1])), (0, 1, 2, 3))
+        fields = {
+            "on": dict(next=NEXT, next_pk=keys[4].pk, inner=b"inner onion"),
+            "reply": dict(return_addr=cascade.designer_addr, return_pk=cascade.designer_pk),
+            "loss": dict(return_addr=cascade.designer_addr, return_pk=cascade.designer_pk,
+                         labels=np.array([0, 1])),
+            "nowhere": {},
+        }[route]
+        record = onion.encode_record(onion.OnionRecord(op=op, **fields))
+        payload = b"" if cols is None else seal(
+            keys[slot].pk, onion.encode_matrix(np.full((2, cols), 0.5, dtype=np.float32)))
+        pkt = onion.build_packet(payload, seal(keys[slot].pk, record), L)
+        action = handle_packet(states[slot], pkt)
+        if isinstance(action, Send):
+            assert {NEXT: "next", cascade.designer_addr: "designer"}.get(action.dst) == expected
+        else:
+            assert action.reason.startswith(expected)
 
 
 class TestForward:
