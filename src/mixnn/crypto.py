@@ -121,7 +121,7 @@ def open_sealed(sk: bytes, ciphertext: bytes) -> bytes:
     try:
         if len(ciphertext) < seal_overhead():
             raise ValueError("truncated")
-        epk = ciphertext[:KEY_LEN]
+        epk = bytes(ciphertext[:KEY_LEN])  # from_public_bytes takes bytes only
         shared = X25519PrivateKey.from_private_bytes(sk).exchange(
             X25519PublicKey.from_public_bytes(epk))
         aead, nonce = _aead(shared, epk)

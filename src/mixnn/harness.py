@@ -8,7 +8,9 @@ Two transports expose identical send/receive-with-deadline semantics:
   reproducible bit for bit.
 * SocketFabric - real TCP on loopback. Each node serves sequentially from
   its own thread; a connection starts with one hello/version byte and then
-  carries fixed-length packets, so no extra framing is needed.
+  carries fixed-length packets, so no extra framing is needed. Each packet
+  is read with recv_into straight into its own L-byte bytearray, which is
+  handed on without a copy.
 """
 
 import heapq
@@ -214,13 +216,17 @@ class SimChannel:
 # socket transport
 
 def _recv_exact(conn: socket.socket, n: int):
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
+    """Read exactly n bytes with recv_into into one fresh bytearray; None if
+    the peer closes first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = conn.recv_into(view[got:])
+        if not k:
             return None
-        buf.extend(chunk)
-    return bytes(buf)
+        got += k
+    return buf
 
 
 def _dial(dst: Address, data: bytes):
@@ -445,6 +451,14 @@ class FaultPlan:
     actions: list = field(default_factory=list)
 
 
+class FaultTargetError(ValueError, KeyError):
+    """A fault plan entry names a node the pool does not hold or a slot the
+    cascade does not have. It is a ValueError, so the CLI reports a config
+    error, and a KeyError, as a failed node lookup."""
+
+    __str__ = ValueError.__str__  # KeyError's would quote the message
+
+
 def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
     """Arm the plan's actions on the pool's runtimes."""
     for act in plan.actions:
@@ -452,9 +466,13 @@ def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
         if node_id.startswith("slot:"):
             if cascade is None:
                 raise ValueError("slot-based fault needs a cascade")
-            node_id = cascade.entries[int(node_id.split(":", 1)[1]) - 1].node_id
+            slot = int(node_id.split(":", 1)[1])
+            if not 1 <= slot <= cascade.n:
+                raise FaultTargetError(
+                    f"fault plan entry node={act.node}: slots run 1..{cascade.n}")
+            node_id = cascade.entries[slot - 1].node_id
         if node_id not in pool.runtimes:
-            raise KeyError(f"unknown node_id {node_id!r}")
+            raise FaultTargetError(f"fault plan entry node={act.node}: unknown node_id")
         rt = pool.runtimes[node_id]
         if act.action == "kill":
             if act.at_iteration is None and act.at_time is None:

@@ -27,7 +27,7 @@ class ProtocolError(RuntimeError):
 @dataclass
 class Send:
     dst: Address
-    data: bytes
+    data: bytearray
 
 
 @dataclass
@@ -205,7 +205,7 @@ def do_test(state: NodeState, record: OnionRecord, payload):
     return _send_on_or_reply(state, record, onion.REPLY_OUTPUT, onion.encode_matrix(out))
 
 
-def emit_cover(state: NodeState, target: Address) -> bytes:
+def emit_cover(state: NodeState, target: Address) -> bytearray:
     """Single-hop cover packet to an adjacent peer whose pk we have seen."""
     pk = state.peers.get(target)
     if pk is None:

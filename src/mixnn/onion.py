@@ -3,13 +3,19 @@
 Wire layout of every packet (bit-exact):
 
     magic "MXNN" | version 0x02 | payload_ct_len u32 BE | payload_ct
-    | onion_ct_len u32 BE | onion_ct | random padding to the cascade length L
+    | onion_ct_len u32 BE | onion_ct | padding to the cascade length L
 
 payload_ct and onion_ct are crypto.seal ciphertexts, each
 [ephemeral X25519 public key 32][AES-GCM body][tag 16], 48 bytes over the
 plaintext. Every packet in a cascade is exactly L bytes no matter the phase,
 hop, or payload. A hop opens only its own routing record; the record's inner
 ciphertext is sealed to the next hop and is indecipherable here.
+
+The padding is an AES-256-CTR keystream under a 32-byte key and a 16-byte
+initial counter drawn from os.urandom for each packet and discarded once the
+packet is built, so no two packets share padding. build_packet writes the
+whole packet into one bytearray; no code mutates a packet after that, and
+parse_packet returns memoryview slices of it rather than copies.
 
 Records are encoded as tag-length-value fields, [tag u8][len u32 BE][value],
 in ascending tag order. A field that is None, and a flag that is false, is
@@ -43,6 +49,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import crypto
 from .crypto import Address
@@ -266,32 +273,46 @@ class CascadeSpec:
         return len(self.entries)
 
 
-def build_packet(payload_ct: bytes, onion_ct: bytes, packet_len: int) -> bytes:
-    """Assemble a packet and pad it with fresh random bytes to packet_len."""
-    body = MAGIC + bytes([VERSION])
-    body += struct.pack(">I", len(payload_ct)) + payload_ct
-    body += struct.pack(">I", len(onion_ct)) + onion_ct
-    if len(body) > packet_len:
-        raise CapacityError(needed=len(body), limit=packet_len)
-    return body + os.urandom(packet_len - len(body))
+def build_packet(payload_ct: bytes, onion_ct: bytes, packet_len: int) -> bytearray:
+    """Assemble a packet in one packet_len buffer. The tail after the body is
+    an AES-256-CTR keystream under a key and initial counter drawn fresh for
+    this packet and dropped on return."""
+    plen, olen = len(payload_ct), len(onion_ct)
+    end = HEADER_LEN + plen + olen
+    if end > packet_len:
+        raise CapacityError(needed=end, limit=packet_len)
+    pkt = bytearray(packet_len)
+    struct.pack_into(">4sBI", pkt, 0, MAGIC, VERSION, plen)
+    off = HEADER_LEN - 4  # past magic, version and payload_ct_len
+    pkt[off:off + plen] = payload_ct
+    off += plen
+    struct.pack_into(">I", pkt, off, olen)
+    pkt[off + 4:end] = onion_ct
+    key_ctr = os.urandom(48)
+    pad = memoryview(pkt)[end:]
+    keystream = Cipher(algorithms.AES(key_ctr[:32]), modes.CTR(key_ctr[32:])).encryptor()
+    keystream.update_into(pad, pad)  # the tail is zero, so this writes the keystream
+    return pkt
 
 
 def parse_packet(buf: bytes, expected_len: int | None = None):
-    """Split a packet into (payload_ct, onion_ct); verifies framing only."""
+    """Split a packet into (payload_ct, onion_ct), memoryview slices of buf;
+    verifies framing only."""
     if expected_len is not None and len(buf) != expected_len:
         raise FramingError(f"packet is {len(buf)} bytes, expected {expected_len}")
+    buf = memoryview(buf)
     if len(buf) < HEADER_LEN or buf[:4] != MAGIC:
         raise FramingError("bad magic")
     if buf[4] != VERSION:
         raise FramingError(f"unsupported version {buf[4]}")
     off = 5
-    (plen,) = struct.unpack(">I", buf[off:off + 4])
+    (plen,) = struct.unpack_from(">I", buf, off)
     off += 4
     if off + plen + 4 > len(buf):
         raise FramingError("payload length exceeds packet")
     payload_ct = buf[off:off + plen]
     off += plen
-    (olen,) = struct.unpack(">I", buf[off:off + 4])
+    (olen,) = struct.unpack_from(">I", buf, off)
     off += 4
     if off + olen > len(buf):
         raise FramingError("onion length exceeds packet")
@@ -321,7 +342,7 @@ def _nest_to_designer(cascade: CascadeSpec, hops, op: OpCode, records=None, **la
     return _nest(hops, records)
 
 
-def pack_init(cascade: CascadeSpec) -> bytes:
+def pack_init(cascade: CascadeSpec) -> bytearray:
     """Model-initialization onion: each hop learns its own role, chain,
     optimizer settings and seed, plus its successor's address; the last hop
     acknowledges to the designer."""
@@ -337,7 +358,7 @@ def pack_init(cascade: CascadeSpec) -> bytes:
     return build_packet(b"", onion, cascade.packet_len)
 
 
-def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | None) -> bytes:
+def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | None) -> bytearray:
     """Forward onion plus the input batch sealed to the first hop.
 
     Labels ride only in the innermost record. labels=None means the designer
@@ -355,7 +376,7 @@ def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | No
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None) -> bytes:
+def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None) -> bytearray:
     """Backward onion, nested in reverse cascade order; carries no data or
     labels. initial_grad is only present when the designer holds the loss
     layer and must hand the last remote hop its starting gradient."""
@@ -366,7 +387,7 @@ def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None) 
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytes:
+def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytearray:
     """Test onion: one-way route that stops at end_slot (1-based) and returns
     that hop's activations to the designer. Hops past end_slot are omitted."""
     if not (1 <= end_slot <= cascade.n):
@@ -379,7 +400,7 @@ def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytes:
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_cover_loop(cascade: CascadeSpec) -> bytes:
+def pack_cover_loop(cascade: CascadeSpec) -> bytearray:
     """A loop message: forward-shaped cover onion that traverses every hop and
     comes back to the designer. Every record is flagged cover and padded with
     random junk fields; hops relay it without any model computation."""
@@ -391,7 +412,7 @@ def pack_cover_loop(cascade: CascadeSpec) -> bytes:
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_single_cover(target_pk: bytes, packet_len: int) -> bytes:
+def pack_single_cover(target_pk: bytes, packet_len: int) -> bytearray:
     """One-hop cover packet a node sends to an adjacent peer, who drops it."""
     rec = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
     onion = crypto.seal(target_pk, encode_record(rec))
@@ -400,7 +421,7 @@ def pack_single_cover(target_pk: bytes, packet_len: int) -> bytes:
 
 
 def pack_reply(op: OpCode, kind: str, designer_pk: bytes, payload_plain: bytes,
-               packet_len: int) -> bytes:
+               packet_len: int) -> bytearray:
     """Designer-bound reply (loss, ack, or activations), full packet length."""
     rec = OnionRecord(op=op, reply=kind)
     onion = crypto.seal(designer_pk, encode_record(rec))

@@ -187,6 +187,15 @@ class TestMalformedConfig:
         assert "config error" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("target", ["nope", "slot:99", "slot:0"])
+    def test_fault_plan_naming_no_cascade_node_is_config_error(self, tmp_path, target):
+        plan = write(tmp_path, "faults.txt", f"node={target} action=kill\n")
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + f"fault_plan = {plan}\n")
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and target in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["train", "test", "baseline"])
     def test_layers_that_do_not_chain_are_config_error(self, tmp_path, command):
         # layer 1 puts out 32 features, layer 2 takes 64

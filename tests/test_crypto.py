@@ -69,6 +69,12 @@ class TestSealOpen:
             with pytest.raises(DecryptionError):
                 open_sealed(keypair.sk, ct[:cut])
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_opens_any_buffer_type(self, keypair, kind):
+        # packets are bytearrays and parse_packet hands out memoryview slices
+        ct = seal(keypair.pk, b"buffer types")
+        assert open_sealed(keypair.sk, kind(ct)) == b"buffer types"
+
     @settings(max_examples=60, deadline=None)
     @given(st.binary(min_size=0, max_size=4096))
     def test_roundtrip_property(self, message):

@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +11,7 @@ from mixnn import nn
 from mixnn.crypto import gen_keypair
 from mixnn.designer import Designer, TrainingConfig
 from mixnn.directory import Directory
-from mixnn.harness import (FaultAction, FaultPlan, SocketChannel,
+from mixnn.harness import (FaultAction, FaultPlan, SocketChannel, _recv_exact,
                            baseline_predict, inject_fault, load_mnist_idx,
                            run_baseline, spawn_pool, synthetic_two_gaussians,
                            write_metrics)
@@ -262,6 +264,37 @@ class TestSocketFabric:
         channel.stop()
         with pytest.raises(OSError):
             socket.create_connection((addr.host, addr.port), timeout=0.5)
+
+
+class TestRecvExact:
+    def test_reads_exactly_n_across_chunks(self):
+        # two packets' worth in 3 chunks that straddle the packet boundary;
+        # the first packet must survive the second read
+        a, b = socket.socketpair()
+        with a, b:
+            data = bytes(i % 251 for i in range(2560))
+            sender = threading.Thread(target=_send_chunks, args=(a, data, (500, 1300, 760)))
+            sender.start()
+            first = _recv_exact(b, 1280)
+            second = _recv_exact(b, 1280)
+            sender.join()
+        assert len(first) == 1280 and first == data[:1280]
+        assert second == data[1280:]
+
+    def test_none_when_peer_closes_early(self):
+        a, b = socket.socketpair()
+        with b:
+            with a:
+                a.sendall(b"x" * 10)
+            assert _recv_exact(b, 11) is None
+
+
+def _send_chunks(conn, data, sizes):
+    off = 0
+    for size in sizes:
+        conn.sendall(data[off:off + size])
+        off += size
+        time.sleep(0.02)
 
 
 class TestMetricsFile:

@@ -334,6 +334,22 @@ class TestForward:
         assert p_in == p_out
         assert states[1].compute_count == 0
 
+    def test_forwarded_packet_carries_no_inbound_padding(self, keys):
+        # a link observer must not match the packets of two hops: no run of
+        # the inbound padding may reappear anywhere in the outbound packet.
+        # Any copied run of 63 bytes or more holds one of these windows.
+        cascade, states = build(keys, SMALL)
+        init_all(cascade, states)
+        x = np.random.default_rng(4).random((3, 8), dtype=np.float32)
+        pkt = bytes(onion.pack_forward(cascade, x, np.array([0, 1, 2])))
+        action = handle_packet(states[0], pkt)
+        assert isinstance(action, Send)
+        payload_ct, onion_ct = onion.parse_packet(pkt, L)
+        pad = pkt[onion.HEADER_LEN + len(payload_ct) + len(onion_ct):]
+        windows = {pad[i:i + 32] for i in range(0, len(pad) - 31, 32)}
+        out = bytes(action.data)
+        assert not any(out[i:i + 32] in windows for i in range(len(out) - 31))
+
 
 class TestBackward:
     def _one_iteration(self, keys, tamper_slot=None):

@@ -92,6 +92,19 @@ class TestPacketFraming:
         b = onion.build_packet(b"", b"x", 1024)
         assert a != b  # random padding differs
 
+    def test_padding_shares_no_block_between_builds(self):
+        # equal inputs twice: a reused pad key, or padding left unwritten,
+        # would repeat or zero the aligned 16-byte blocks
+        start = onion.HEADER_LEN + len(b"PAY") + len(b"ONIONCT")
+
+        def blocks():
+            pad = bytes(onion.build_packet(b"PAY", b"ONIONCT", 4096)[start:])
+            return {pad[i:i + 16] for i in range(0, len(pad) - 15, 16)}
+
+        a, b = blocks(), blocks()
+        assert not a & b
+        assert bytes(16) not in a | b
+
     def test_capacity_error_names_required_size(self):
         with pytest.raises(CapacityError) as err:
             onion.build_packet(b"x" * 100, b"y" * 100, 64)
@@ -262,6 +275,19 @@ class TestPackBackward:
         record, payload, _ = unwrap(keys[1].sk, pkt, L)
         npt.assert_array_equal(onion.decode_matrix(payload), grad)
         assert record.next == entries[0].address
+
+
+class TestUnwrapBufferTypes:
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_same_result_for_any_buffer_type(self, keys, kind):
+        cascade = make_cascade(keys, SMALL)
+        data = np.arange(16, dtype=np.float32).reshape(2, 8)
+        pkt = bytes(onion.pack_forward(cascade, data, np.array([0, 1])))
+        record, payload, nxt = unwrap(keys[0].sk, pkt, L)
+        got_record, got_payload, got_nxt = unwrap(keys[0].sk, kind(pkt), L)
+        assert got_record == record and got_payload == payload
+        # next packets differ only in their fresh padding
+        assert onion.parse_packet(got_nxt, L) == onion.parse_packet(nxt, L)
 
 
 class TestPackTest:
