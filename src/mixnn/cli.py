@@ -9,6 +9,7 @@ import base64
 import contextlib
 import logging
 import os
+import signal
 import stat
 import sys
 
@@ -151,19 +152,26 @@ def _read_keypair(basename: str) -> KeyPair:
     return KeyPair(pk=pk, sk=sk)
 
 
+def _serve_until_signalled(server, banner: str):
+    """Serve until SIGINT or SIGTERM, then stop and exit 0. The handlers are
+    set before the banner and also replace an inherited SIG_IGN."""
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda signum, frame: sys.exit(EXIT_OK))
+    server.start()
+    click.echo(banner)
+    try:
+        server.join()
+    finally:
+        server.stop()
+
+
 @main.command("directory")
 @click.option("--listen", default="127.0.0.1", help="host to bind (ephemeral port)")
 @click.option("--store", default=None, type=click.Path(), help="append-only record store")
 def directory_cmd(listen, store):
-    """Run the registration authority until interrupted."""
+    """Run the registration authority until SIGINT or SIGTERM."""
     server = DirectoryServer(Directory(store_path=store), host=listen)
-    server.start()
-    click.echo(f"directory listening on {server.address}")
-    try:
-        while True:
-            server.join(timeout=1.0)
-    except KeyboardInterrupt:
-        server.stop()
+    _serve_until_signalled(server, f"directory listening on {server.address}")
 
 
 @main.command("node")
@@ -173,7 +181,7 @@ def directory_cmd(listen, store):
 @click.option("--node-id", default=None, help="defaults to host:port")
 @click.option("--packet-len", default=onion.DEFAULT_PACKET_LEN, show_default=True)
 def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
-    """Run one layer server: register, then serve until interrupted."""
+    """Run one layer server: register, then serve until SIGINT or SIGTERM."""
     try:
         kp = _read_keypair(key_path)
     except OSError as exc:
@@ -189,13 +197,7 @@ def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
     except Exception as exc:
         click.echo(f"registration failed: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    server.start()
-    click.echo(f"node {runtime.state.node_id} listening on {server.address}")
-    try:
-        while True:
-            server.join(timeout=1.0)
-    except KeyboardInterrupt:
-        server.stop()
+    _serve_until_signalled(server, f"node {runtime.state.node_id} listening on {server.address}")
 
 
 def _read_config(path: str, simulated: bool) -> dict:

@@ -6,11 +6,11 @@ Two transports expose identical send/receive-with-deadline semantics:
 * SimNet - a deterministic single-threaded event scheduler with virtual
   time. Per-hop latency and processing delay are fixed, so whole runs are
   reproducible bit for bit.
-* SocketFabric - real TCP on loopback. Each node serves sequentially from
-  its own thread; a connection starts with one hello/version byte and then
-  carries fixed-length packets, so no extra framing is needed. Each packet
-  is read with recv_into straight into its own L-byte bytearray, which is
-  handed on without a copy.
+* SocketFabric - real TCP on loopback. Each connection is served on its
+  own thread and carries only fixed-length packets, each opening with the
+  magic and version that parse_packet checks. A packet is read with
+  recv_into into its own L-byte bytearray and handed on without a copy; a
+  node handles one at a time under a lock and dials the next hop outside it.
 """
 
 import heapq
@@ -37,6 +37,7 @@ log = logging.getLogger("mixnn.harness")
 
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
+MAX_FRAME = 1 << 20  # bytes in one directory frame, checked before allocating
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +230,41 @@ def _recv_exact(conn: socket.socket, n: int):
     return buf
 
 
+def _recv_frame(conn: socket.socket):
+    """One directory frame (u32 BE length, then UTF-8 text) as a str; None
+    if the peer closes first or the header claims more than MAX_FRAME bytes."""
+    header = _recv_exact(conn, 4)
+    if header is None:
+        return None
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME:
+        return None
+    body = _recv_exact(conn, length)
+    return None if body is None else body.decode("utf-8")
+
+
+def _send_frame(conn: socket.socket, text: str):
+    body = text.encode("utf-8")
+    conn.sendall(struct.pack(">I", len(body)) + body)
+
+
 def _dial(dst: Address, data: bytes):
     with socket.create_connection((dst.host, dst.port), timeout=10.0) as s:
-        s.sendall(bytes([onion.VERSION]) + data)
+        s.sendall(data)
 
 
 def _read_packets(conn: socket.socket, packet_len: int):
-    """The packets of one connection: a hello/version byte, then exactly
-    packet_len-byte packets until the peer closes."""
-    hello = _recv_exact(conn, 1)
-    if hello is None or hello[0] != onion.VERSION:
-        return
+    """The packets of one connection, packet_len bytes each, until EOF."""
     while (data := _recv_exact(conn, packet_len)) is not None:
         yield data
 
 
 class _AcceptLoop(threading.Thread):
-    """One listening socket served from one thread, a connection at a time,
-    by the subclass's _serve(conn, peer).
-
-    A connection that fails (timeout, bad bytes, a handler error) is logged
-    and closed, and the loop goes on serving; stop() ends it.
-    """
+    """One listening socket; each connection is served on its own daemon
+    thread by the subclass's _serve(conn, peer), so an idle client delays no
+    other. A connection that fails (10 s without bytes, bad bytes, a handler
+    error) is logged and closed. stop() closes the listener; connections
+    already accepted run to their end."""
 
     def __init__(self, host: str, name: str):
         super().__init__(daemon=True, name=name)
@@ -267,14 +281,17 @@ class _AcceptLoop(threading.Thread):
                 continue
             except OSError:
                 break
-            with conn:
-                conn.settimeout(10.0)
-                src = Address(peer[0], peer[1])
-                try:
-                    self._serve(conn, src)
-                except Exception:
-                    log.exception("%s: dropped connection from %s", self.name, src)
+            threading.Thread(target=self._serve_one, args=(conn, Address(peer[0], peer[1])),
+                             daemon=True, name=f"{self.name}-conn").start()
         self._listener.close()
+
+    def _serve_one(self, conn, src):
+        with conn:
+            conn.settimeout(10.0)
+            try:
+                self._serve(conn, src)
+            except Exception:
+                log.exception("%s: dropped connection from %s", self.name, src)
 
     def stop(self):
         self._stop_requested.set()
@@ -282,23 +299,19 @@ class _AcceptLoop(threading.Thread):
 
 
 class SocketNodeServer(_AcceptLoop):
-    """Sequential service loop for one node: accept, drain packets, repeat."""
+    """One node over TCP: packets are handled one at a time under a lock, so
+    NodeState stays single-threaded; the next hop is dialled outside it."""
 
     def __init__(self, runtime: NodeRuntime, host: str = "127.0.0.1"):
         super().__init__(host, name=f"node-{runtime.node_id}")
         self.runtime = runtime
-        self._last_sent = None
+        self._lock = threading.Lock()
 
     def _serve(self, conn, peer):
         for data in _read_packets(conn, self.runtime.state.packet_len):
-            action = self.runtime.on_packet(peer, data, now=time.monotonic())
+            with self._lock:
+                action = self.runtime.on_packet(peer, data, now=time.monotonic())
             if action is not None:
-                # held until the next packet replaces it: freeing the L-byte
-                # packet when its connection closes lets malloc trim this
-                # thread's arena, and faulting the pages back in for the next
-                # packet cost the loopback benchmark about 12% of its
-                # throughput (5x the minor page faults, 2-vCPU VM)
-                self._last_sent = action
                 try:
                     _dial(action.dst, action.data)
                 except OSError as exc:
@@ -307,7 +320,7 @@ class SocketNodeServer(_AcceptLoop):
 
 
 class SocketChannel(_AcceptLoop):
-    """Designer endpoint over real sockets; the listener thread feeds a queue."""
+    """Designer endpoint over real sockets; connection threads feed a queue."""
 
     def __init__(self, packet_len: int = onion.DEFAULT_PACKET_LEN, host: str = "127.0.0.1"):
         super().__init__(host, name="designer-recv")
@@ -340,16 +353,9 @@ class DirectoryServer(_AcceptLoop):
         self.directory = directory
 
     def _serve(self, conn, peer):
-        header = _recv_exact(conn, 4)
-        if header is None:
-            return
-        (length,) = struct.unpack(">I", header)
-        body = _recv_exact(conn, length)
-        if body is None:
-            return
-        response = directory_mod.handle_frame(self.directory, body.decode("utf-8"))
-        out = response.encode("utf-8")
-        conn.sendall(struct.pack(">I", len(out)) + out)
+        request = _recv_frame(conn)
+        if request is not None:
+            _send_frame(conn, directory_mod.handle_frame(self.directory, request))
 
 
 class DirectoryClient:
@@ -360,16 +366,11 @@ class DirectoryClient:
 
     def _request(self, text: str) -> str:
         with socket.create_connection((self.addr.host, self.addr.port), timeout=10.0) as s:
-            body = text.encode("utf-8")
-            s.sendall(struct.pack(">I", len(body)) + body)
-            header = _recv_exact(s, 4)
-            if header is None:
-                raise RuntimeError("directory closed the connection")
-            (length,) = struct.unpack(">I", header)
-            body = _recv_exact(s, length)
-            if body is None:
-                raise RuntimeError("directory closed the connection mid-reply")
-            return body.decode("utf-8")
+            _send_frame(s, text)
+            response = _recv_frame(s)
+        if response is None:
+            raise RuntimeError(f"directory reply missing, cut short or over {MAX_FRAME} bytes")
+        return response
 
     def register(self, rec: KeyRecord):
         response = self._request(f"REGISTER {rec.to_line()}")
@@ -451,14 +452,6 @@ class FaultPlan:
     actions: list = field(default_factory=list)
 
 
-class FaultTargetError(ValueError, KeyError):
-    """A fault plan entry names a node the pool does not hold or a slot the
-    cascade does not have. It is a ValueError, so the CLI reports a config
-    error, and a KeyError, as a failed node lookup."""
-
-    __str__ = ValueError.__str__  # KeyError's would quote the message
-
-
 def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
     """Arm the plan's actions on the pool's runtimes."""
     for act in plan.actions:
@@ -468,11 +461,11 @@ def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
                 raise ValueError("slot-based fault needs a cascade")
             slot = int(node_id.split(":", 1)[1])
             if not 1 <= slot <= cascade.n:
-                raise FaultTargetError(
+                raise ValueError(
                     f"fault plan entry node={act.node}: slots run 1..{cascade.n}")
             node_id = cascade.entries[slot - 1].node_id
         if node_id not in pool.runtimes:
-            raise FaultTargetError(f"fault plan entry node={act.node}: unknown node_id")
+            raise ValueError(f"fault plan entry node={act.node}: unknown node_id")
         rt = pool.runtimes[node_id]
         if act.action == "kill":
             if act.at_iteration is None and act.at_time is None:

@@ -309,6 +309,24 @@ class TestNodeCommand:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("sig, ignore_sigint", [(signal.SIGTERM, False),
+                                                    (signal.SIGINT, True)])
+    def test_directory_stops_cleanly_on_signal(self, sig, ignore_sigint):
+        # a background job of a non-interactive shell starts with SIGINT ignored
+        preexec = ((lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+                   if ignore_sigint else None)
+        proc = subprocess.Popen([sys.executable, "-m", "mixnn.cli", "directory"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, preexec_fn=preexec)
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(sig)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
+
     def test_missing_key_file_is_io_error(self, tmp_path):
         result = CliRunner().invoke(cli.main, ["node", "--key", str(tmp_path / "nope"),
                                                "--directory", "127.0.0.1:1"])

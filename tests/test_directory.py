@@ -150,6 +150,34 @@ class TestWireService:
         finally:
             server.stop()
 
+    def test_idle_connection_does_not_delay_others(self):
+        server = DirectoryServer(Directory())
+        server.start()
+        try:
+            with socket.create_connection((server.address.host, server.address.port)):
+                client = DirectoryClient(server.address)
+                # in a thread, so a server stuck on the idle connection fails
+                # the test after 1 s rather than after the 10 s read timeout
+                listed = []
+                thread = threading.Thread(target=lambda: listed.append(client.list()),
+                                          daemon=True)
+                thread.start()
+                thread.join(timeout=1.0)
+                assert listed == [[]]
+        finally:
+            server.stop()
+
+    def test_oversized_frame_header_closes_connection(self):
+        server = DirectoryServer(Directory())
+        server.start()
+        try:
+            with socket.create_connection((server.address.host, server.address.port),
+                                          timeout=2.0) as s:
+                s.sendall(struct.pack(">I", (1 << 20) + 1))  # 1 MiB + 1, and no body
+                assert s.recv(1) == b""  # closed at once, without a response
+        finally:
+            server.stop()
+
     def test_truncated_reply_raises_runtime_error(self):
         # a stub directory that announces a 10-byte reply, sends 3 and closes
         listener = socket.create_server(("127.0.0.1", 0))

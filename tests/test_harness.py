@@ -1,5 +1,6 @@
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -11,10 +12,10 @@ from mixnn import nn
 from mixnn.crypto import gen_keypair
 from mixnn.designer import Designer, TrainingConfig
 from mixnn.directory import Directory
-from mixnn.harness import (FaultAction, FaultPlan, SocketChannel, _recv_exact,
-                           baseline_predict, inject_fault, load_mnist_idx,
-                           run_baseline, spawn_pool, synthetic_two_gaussians,
-                           write_metrics)
+from mixnn.harness import (FaultAction, FaultPlan, NodeRuntime, SocketChannel,
+                           SocketNodeServer, _recv_exact, baseline_predict,
+                           inject_fault, load_mnist_idx, run_baseline, spawn_pool,
+                           synthetic_two_gaussians, write_metrics)
 
 from conftest import (SMALL_L, SimWorld, plan_np, small_config,
                       small_dataset, small_model)
@@ -170,7 +171,7 @@ class TestSimDeterminism:
 class TestFaults:
     def test_unknown_node_rejected(self):
         world = SimWorld(m=4)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="ghost"):
             inject_fault(FaultPlan([FaultAction(node="ghost", action="kill")]),
                          world.pool)
 
@@ -264,6 +265,66 @@ class TestSocketFabric:
         channel.stop()
         with pytest.raises(OSError):
             socket.create_connection((addr.host, addr.port), timeout=0.5)
+
+    def test_idle_client_does_not_stall_a_hop(self):
+        # a client that connects to a hop and sends nothing must not hold up
+        # the cascade's packets past T, or a healthy cascade reads as crashed
+        directory = Directory()
+        pool = spawn_pool("socket", 5, directory, packet_len=SMALL_L)
+        channel = SocketChannel(packet_len=SMALL_L)
+        try:
+            designer = Designer(channel, gen_keypair())
+            config = small_config(time_bound_T=3.0)
+            model = small_model()
+            cascade = designer.provision(directory.list(), model, plan_np(5, 5),
+                                         config=config, packet_len=SMALL_L)
+            designer.send_designer_loop(cascade)
+            designer.initialize_model(cascade, config)
+            addr = cascade.entries[2].address
+            with socket.create_connection((addr.host, addr.port)):
+                ds = small_dataset()
+                metrics = designer.train(cascade, ds.images, ds.labels, config)
+            assert len(metrics.rows) == 1
+        finally:
+            pool.stop()
+            channel.stop()
+
+    def test_packets_from_many_connections_are_handled_one_at_a_time(self):
+        # 8 clients (more than the cores) send 4 packets each; on_packet does
+        # a read-modify-write that yields in the middle, so without the
+        # node's lock concurrent connections would lose updates
+        runtime = NodeRuntime("n000", gen_keypair(), packet_len=1024)
+        handled = [0]
+
+        def on_packet(src, data, now=None):
+            seen = handled[0]
+            time.sleep(0.0005)
+            handled[0] = seen + 1
+
+        runtime.on_packet = on_packet
+        server = SocketNodeServer(runtime)
+        server.start()
+
+        def client():
+            with socket.create_connection((server.address.host, server.address.port)) as s:
+                s.sendall(bytes(4 * 1024))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            deadline = time.monotonic() + 5.0
+            while handled[0] < 32 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(switch)
+            server.stop()
+        assert handled[0] == 32
 
 
 class TestRecvExact:
