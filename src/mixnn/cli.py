@@ -81,11 +81,13 @@ TABLE_MODEL = "linear:784x128,relu | linear:128x64,relu | linear:64x10 | logsoft
 def _load_dataset(cfg: dict, prefix: str = "") -> harness.Dataset:
     kind = cfg.get(prefix + "data", "synthetic")
     limit = int(cfg[prefix + "limit"]) if prefix + "limit" in cfg else None
+    if limit is not None and limit < 1:
+        raise ConfigFileError(f"{prefix}limit = {limit}: must be at least 1")
     if kind == "mnist":
         ds = load_mnist_idx(cfg[prefix + "images"], cfg[prefix + "labels"], limit=limit)
     elif kind == "synthetic":
         ds = synthetic_two_gaussians(
-            n=limit or 512,
+            n=512 if limit is None else limit,
             dim=int(cfg.get("input_dim", 784)),
             seed=int(cfg.get("data_seed", cfg.get("seed", 0))),
         )
@@ -245,8 +247,7 @@ def _initialized_cascade(cfg: dict):
     mode = cfg.get("mode", "simulated")
     if mode == "simulated":
         net = SimNet(latency=float(cfg.get("latency", 0.001)),
-                     proc_delay=float(cfg.get("proc_delay", 0.0005)),
-                     seed=int(cfg.get("seed", 0)))
+                     proc_delay=float(cfg.get("proc_delay", 0.0005)))
         dir_obj = Directory()
         pool = spawn_pool(net, int(cfg.get("pool_size", plan.n * 2 + 2)), dir_obj,
                           packet_len=packet_len)

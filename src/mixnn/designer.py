@@ -68,6 +68,8 @@ class ProvisionPlan:
             raise ConfigError(f"n={self.n} must equal p+r={self.p + self.r}")
         if self.p < 1:
             raise ConfigError("need at least one actual layer slot")
+        if self.r < 0:
+            raise ConfigError(f"r={self.r} must not be negative")
 
 
 @dataclass

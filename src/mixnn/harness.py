@@ -3,9 +3,9 @@ injection, dataset ingestion, and the single-process baseline oracle.
 
 Two transports expose identical send/receive-with-deadline semantics:
 
-* SimNet - a deterministic single-threaded event scheduler with virtual
-  time. Per-hop latency and processing delay are fixed, so whole runs are
-  reproducible bit for bit.
+* SimNet - a deterministic single-threaded scheduler with virtual time
+  whose only events are packet deliveries. Per-hop latency and processing
+  delay are fixed, so whole runs are reproducible bit for bit.
 * SocketFabric - real TCP on loopback. Each connection is served on its
   own thread and carries only fixed-length packets, each opening with the
   magic and version that parse_packet checks. A packet is read with
@@ -54,8 +54,6 @@ class NodeRuntime:
         self.kill_at_time = None
         self.tamper_at_iteration = None
         self.extra_delay = 0.0
-        self.cover_rate = 0.0  # cover packets per second of simulated time
-        self.cover_emitted = 0
 
     @property
     def node_id(self):
@@ -78,26 +76,18 @@ class NodeRuntime:
         action = node.handle_packet(self.state, data, src)
         return action if isinstance(action, Send) else None
 
-    def emit_cover(self):
-        """Cover packet to the first adjacent peer we have learned, if any."""
-        for addr in self.state.peers:
-            self.cover_emitted += 1
-            return Send(addr, node.emit_cover(self.state, addr))
-        return None
-
 
 # ---------------------------------------------------------------------------
 # simulated transport
 
 @dataclass(order=True)
 class _Event:
+    """One packet delivery, ordered by arrival time, then by send order."""
     at: float
     seq: int
-    kind: str = field(compare=False)
-    dst: object = field(compare=False, default=None)
-    src: object = field(compare=False, default=None)
-    data: bytes = field(compare=False, default=b"")
-    until: float | None = field(compare=False, default=None)  # cover: emit until
+    dst: object = field(compare=False)
+    src: object = field(compare=False)
+    data: bytes = field(compare=False)
 
 
 class _SimNode:
@@ -107,14 +97,14 @@ class _SimNode:
 
 
 class SimNet:
-    """Deterministic virtual-time network: in-order per-channel delivery,
-    sequential per-node processing."""
+    """Deterministic virtual-time network whose only events are packet
+    deliveries: in-order per-channel delivery, sequential per-node
+    processing. `seed` seeds nothing; nothing here is random."""
 
     def __init__(self, latency: float = 0.001, proc_delay: float = 0.0005, seed: int = 0):
         self.latency = latency
         self.proc_delay = proc_delay
         self.now = 0.0
-        self._cover_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
         self._seq = itertools.count()
         self._events: list[_Event] = []
         self._nodes: dict[Address, _SimNode] = {}
@@ -128,35 +118,11 @@ class SimNet:
         self._mailboxes[addr] = deque()
         return SimChannel(self, addr)
 
-    def start_cover(self, addr: Address, rate: float, until: float):
-        """Arm Poisson cover emission for the node at addr until a virtual time."""
-        simnode = self._nodes[addr]
-        simnode.runtime.cover_rate = rate
-        self._schedule_cover(addr, self.now, until)
-
-    def _schedule_cover(self, addr, after, until):
-        rate = self._nodes[addr].runtime.cover_rate
-        if rate <= 0:
-            return
-        gap = float(self._cover_rng.exponential(1.0 / rate))
-        if after + gap <= until:
-            heapq.heappush(self._events, _Event(after + gap, next(self._seq), "cover",
-                                                dst=addr, until=until))
-
     def send(self, src, dst: Address, data: bytes, at: float | None = None):
         at = self.now if at is None else at
-        heapq.heappush(self._events, _Event(at + self.latency, next(self._seq), "deliver",
-                                            dst=dst, src=src, data=data))
+        heapq.heappush(self._events, _Event(at + self.latency, next(self._seq), dst, src, data))
 
     def _process(self, ev: _Event):
-        if ev.kind == "cover":
-            simnode = self._nodes[ev.dst]
-            if not simnode.runtime.killed:
-                action = simnode.runtime.emit_cover()
-                if action is not None:
-                    self.send(ev.dst, action.dst, action.data, at=ev.at)
-            self._schedule_cover(ev.dst, ev.at, ev.until)
-            return
         if ev.dst in self._mailboxes:
             self._mailboxes[ev.dst].append(ev.data)
             return
@@ -183,15 +149,6 @@ class SimNet:
             self.now = ev.at
             self._process(ev)
         return True
-
-    def run_idle(self, duration: float):
-        """Let scheduled background traffic (cover emission) play out."""
-        deadline = self.now + duration
-        while self._events and self._events[0].at <= deadline:
-            ev = heapq.heappop(self._events)
-            self.now = ev.at
-            self._process(ev)
-        self.now = deadline
 
 
 class SimChannel:

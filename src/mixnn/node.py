@@ -9,7 +9,7 @@ logic runs under the simulated scheduler and real sockets.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,10 @@ class NodeState:
     params: list | None = None
     opt: nn.OptimizerState | None = None
     cache: nn.LayerCache | None = None
-    peers: dict = field(default_factory=dict)  # Address -> pk learned from records
     compute_count: int = 0  # DL kernel invocations, for instrumentation
     forward_count: int = 0
     backward_count: int = 0
     tamper_gradients: bool = False
-
-    def _learn_peer(self, record: OnionRecord):
-        if record.next is not None and record.next_pk is not None:
-            self.peers[record.next] = record.next_pk
-        if record.return_addr is not None and record.return_pk is not None:
-            self.peers[record.return_addr] = record.return_pk
 
 
 def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
@@ -70,7 +63,6 @@ def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
         log.warning("node=%s op=? outcome=dropped src=%s err=%s", state.node_id, src, exc)
         return Drop("tamper-or-misroute")
 
-    state._learn_peer(record)
     op = record.op.name.lower()
     try:
         if record.cover:
@@ -203,11 +195,3 @@ def do_test(state: NodeState, record: OnionRecord, payload):
     state.compute_count += 1
     out, _ = nn.layer_forward(state.spec, state.params, x, train=False)
     return _send_on_or_reply(state, record, onion.REPLY_OUTPUT, onion.encode_matrix(out))
-
-
-def emit_cover(state: NodeState, target: Address) -> bytearray:
-    """Single-hop cover packet to an adjacent peer whose pk we have seen."""
-    pk = state.peers.get(target)
-    if pk is None:
-        raise ProtocolError(f"no public key known for peer {target}")
-    return onion.pack_single_cover(pk, state.packet_len)

@@ -413,7 +413,7 @@ def pack_cover_loop(cascade: CascadeSpec) -> bytearray:
 
 
 def pack_single_cover(target_pk: bytes, packet_len: int) -> bytearray:
-    """One-hop cover packet a node sends to an adjacent peer, who drops it."""
+    """One-hop cover packet sealed to `target_pk`; the receiving node drops it."""
     rec = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
     onion = crypto.seal(target_pk, encode_record(rec))
     payload = crypto.seal(target_pk, os.urandom(COVER_PAYLOAD_LEN))

@@ -196,6 +196,18 @@ class TestMalformedConfig:
         assert "config error" in result.output and target in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("extra,key", [
+        pytest.param("limit = 0\n", "limit", id="limit-0"),
+        pytest.param("limit = -3\n", "limit", id="limit-negative"),
+        pytest.param("test_data = synthetic\ntest_limit = 0\n", "test_limit", id="test-limit-0"),
+    ])
+    def test_limit_below_one_is_config_error(self, tmp_path, extra, key):
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + extra)
+        result = CliRunner().invoke(cli.main, ["train", "--simulated", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and key in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["train", "test", "baseline"])
     def test_layers_that_do_not_chain_are_config_error(self, tmp_path, command):
         # layer 1 puts out 32 features, layer 2 takes 64

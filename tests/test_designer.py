@@ -54,6 +54,11 @@ class TestProvision:
         with pytest.raises(ConfigError):
             ProvisionPlan(n=5, p=3, r=1)
 
+    def test_negative_dummy_count_rejected(self):
+        # n = p + r holds, so only the sign check can catch it
+        with pytest.raises(ConfigError, match="r=-1"):
+            ProvisionPlan(n=4, p=5, r=-1)
+
     def test_hold_last_keeps_labels_out_of_every_onion(self):
         world = SimWorld()
         config = small_config(hold_last_layer=True)

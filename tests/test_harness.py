@@ -221,30 +221,6 @@ class TestFaults:
             parse_fault_plan("nonsense without equals")
 
 
-class TestCoverTraffic:
-    def test_poisson_count_within_three_sigma(self):
-        world = SimWorld(m=4, seed=2)
-        config = small_config()
-        cascade = world.train_ready(small_model()[:1] + small_model()[-1:],
-                                    plan_np(2, 2), config)
-        rt = world.pool.runtime(cascade.entries[0].node_id)
-        assert rt.state.peers  # learned from init traffic
-        rate, duration = 50.0, 40.0
-        addr = cascade.entries[0].address
-        world.net.start_cover(addr, rate, world.net.now + duration)
-        world.net.run_idle(duration)
-        expected = rate * duration
-        sigma = np.sqrt(expected)
-        assert abs(rt.cover_emitted - expected) <= 3 * sigma
-
-    def test_cover_disabled_by_default(self):
-        world = SimWorld(m=4, seed=2)
-        config = small_config()
-        world.train_ready(small_model()[:1] + small_model()[-1:], plan_np(2, 2), config)
-        world.net.run_idle(10.0)
-        assert all(rt.cover_emitted == 0 for rt in world.pool.runtimes.values())
-
-
 class TestSocketFabric:
     def test_spawn_loop_teardown(self):
         directory = Directory()

@@ -501,19 +501,13 @@ class TestCover:
     def test_single_hop_cover_dropped_without_state_change(self, keys):
         cascade, states = build(keys, SMALL)
         init_all(cascade, states)
-        # node 0 learned node 1's pk from the init record
-        pkt = node.emit_cover(states[0], cascade.entries[1].address)
+        pkt = onion.pack_single_cover(keys[1].pk, L)
         assert len(pkt) == L
         before = states[1].params[0][0].copy()
         action = handle_packet(states[1], pkt)
         assert isinstance(action, Drop)
         npt.assert_array_equal(states[1].params[0][0], before)
         assert states[1].cache is None and states[1].compute_count == 0
-
-    def test_emit_cover_unknown_peer(self, keys):
-        state = NodeState(node_id="x", keypair=keys[0], packet_len=L)
-        with pytest.raises(node.ProtocolError):
-            node.emit_cover(state, Address("stranger.test", 1))
 
 
 class TestLogging:
