@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import harness, nn, onion
-from .crypto import Address, KeyPair, KeyRecord, gen_keypair
+from .crypto import KEY_LEN, Address, KeyPair, KeyRecord, gen_keypair, public_key
 from .designer import CrashDetected, Designer, ProvisionPlan, TrainingConfig
 from .directory import Directory
 from .harness import (DirectoryClient, DirectoryServer, NodeRuntime, SimNet,
@@ -131,15 +131,16 @@ def main(verbose):
 @click.option("--seed", default=None,
               help="hex seed for reproducible test keys: the X25519 private key is SHA-256(seed)")
 def keygen(out, seed):
-    """Generate a key pair; the secret key file is chmod 0600."""
+    """Generate a key pair; the secret key file is mode 0600 from the start."""
     kp = gen_keypair(bytes.fromhex(seed) if seed else None)
     try:
         with open(out + ".pk", "w", encoding="utf-8") as f:
             f.write(base64.b64encode(kp.pk).decode() + "\n")
-        sk_path = out + ".sk"
-        with open(sk_path, "w", encoding="utf-8") as f:
+        private = stat.S_IRUSR | stat.S_IWUSR
+        fd = os.open(out + ".sk", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, private)
+        with open(fd, "w", encoding="utf-8") as f:
+            os.fchmod(fd, private)  # an existing file keeps its mode through O_CREAT
             f.write(base64.b64encode(kp.sk).decode() + "\n")
-        os.chmod(sk_path, stat.S_IRUSR | stat.S_IWUSR)
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -147,10 +148,16 @@ def keygen(out, seed):
 
 
 def _read_keypair(basename: str) -> KeyPair:
+    """The pair keygen wrote. Raises ValueError unless both keys are
+    KEY_LEN bytes and the secret key derives the public key."""
     with open(basename + ".pk", encoding="utf-8") as f:
         pk = base64.b64decode(f.read().strip())
     with open(basename + ".sk", encoding="utf-8") as f:
         sk = base64.b64decode(f.read().strip())
+    if len(pk) != KEY_LEN or len(sk) != KEY_LEN:
+        raise ValueError(f"keys must be {KEY_LEN} bytes, got {len(pk)} (.pk) and {len(sk)} (.sk)")
+    if public_key(sk) != pk:
+        raise ValueError(".pk is not the public key of .sk")
     return KeyPair(pk=pk, sk=sk)
 
 
@@ -189,6 +196,9 @@ def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
+    except ValueError as exc:  # binascii.Error too
+        click.echo(f"bad key pair {key_path}: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     runtime = NodeRuntime(node_id or "pending", kp, packet_len=packet_len)
     server = SocketNodeServer(runtime, host=listen)
     if node_id is None:
@@ -254,6 +264,8 @@ def _initialized_cascade(cfg: dict):
         channel = net.designer_channel()
         cleanup = pool.stop
     elif mode == "socket":
+        if "fault_plan" in cfg:
+            raise ConfigFileError("fault_plan needs mode = simulated")
         dir_obj = DirectoryClient(Address.parse(cfg["directory"]))
         pool = None
         channel = harness.SocketChannel(packet_len=packet_len)
@@ -264,7 +276,7 @@ def _initialized_cascade(cfg: dict):
         designer = Designer(channel, gen_keypair())
         cascade = designer.provision(dir_obj.list(), model, plan, config=config,
                                      packet_len=packet_len)
-        if pool is not None and "fault_plan" in cfg:
+        if "fault_plan" in cfg:
             with open(cfg["fault_plan"], encoding="utf-8") as f:
                 harness.inject_fault(harness.parse_fault_plan(f.read()), pool, cascade)
         designer.send_designer_loop(cascade, timeout=float(cfg.get("loop_timeout", 30.0)))
@@ -345,15 +357,20 @@ def baseline_cmd(config_path, out):
 
 
 def read_metrics_csv(path: str):
-    """(epoch, accuracy) pairs from a metrics CSV, ignoring comments."""
+    """(epoch, accuracy) pairs from a metrics CSV, ignoring comments. A row
+    without an integer epoch and a numeric accuracy raises ValueError."""
     rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("epoch,"):
                 continue
             parts = line.split(",")
-            rows.append((int(parts[0]), float(parts[2])))
+            try:
+                rows.append((int(parts[0]), float(parts[2])))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"malformed metrics file {path}: line {lineno}: {line!r}") from None
     return rows
 
 
@@ -368,6 +385,9 @@ def compare_cmd(paths, threshold):
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO)
+    except ValueError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_USAGE)
     if len(a) != len(b) or any(ra[0] != rb[0] for ra, rb in zip(a, b)):
         click.echo(f"epoch mismatch: {len(a)} vs {len(b)} rows", err=True)
         sys.exit(EXIT_USAGE)

@@ -92,8 +92,12 @@ def gen_keypair(seed: bytes | None = None) -> KeyPair:
     """Generate an X25519 key pair. With a seed the private key is
     SHA-256(seed), so generation is deterministic (intended for tests)."""
     sk = hashlib.sha256(seed).digest() if seed is not None else os.urandom(KEY_LEN)
-    pk = X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
-    return KeyPair(pk=pk, sk=sk)
+    return KeyPair(pk=public_key(sk), sk=sk)
+
+
+def public_key(sk: bytes) -> bytes:
+    """The X25519 public key of a raw private key."""
+    return X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
 
 
 def seal_overhead() -> int:

@@ -209,7 +209,7 @@ class Designer:
         """
         t0 = self.channel.now()
         self.channel.send(cascade.entries[0].address, onion.pack_cover_loop(cascade))
-        self._await(cascade, "cover", timeout)
+        self._await(cascade, onion.REPLY_COVER, timeout)
         cascade.rtt = self.channel.now() - t0
         return cascade.rtt
 
@@ -358,11 +358,10 @@ class Designer:
             except Exception as exc:
                 log.warning("designer dropped undecipherable reply: %s", exc)
                 continue
-            kind = "cover" if record.cover and record.inner is None else record.reply
-            if kind == expected:
+            if record.reply == expected:
                 return record, payload
             log.warning("designer ignoring unexpected reply kind=%s (awaiting %s)",
-                        kind, expected)
+                        record.reply, expected)
 
     def _deadline(self, cascade: Session, config: TrainingConfig | None) -> float:
         if config is not None and config.time_bound_T is not None:

@@ -3,9 +3,11 @@
 A node unwraps one onion layer, checks the op against its state once, in
 handle_packet, performs its DL or relay role, re-seals whatever it must
 forward, and hands back a single outbound (address, packet) action. Every
-phase, INIT included, ends at a last hop that answers the designer. All
-state lives in NodeState; nothing here touches a transport, so the same
-logic runs under the simulated scheduler and real sockets.
+route, INIT and the loop message included, ends at a last hop that answers
+the designer; a record that names neither a next hop nor a return address
+is dropped before any state changes. All state lives in NodeState; nothing
+here touches a transport, so the same logic runs under the simulated
+scheduler and real sockets.
 """
 
 import logging
@@ -65,8 +67,10 @@ def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
 
     op = record.op.name.lower()
     try:
+        if not _has_next_hop(record) and None in (record.return_addr, record.return_pk):
+            raise ProtocolError(f"{op} record with nowhere to send")
         if record.cover:
-            action = _relay_or_drop(state, record, payload, "cover")
+            action = _send_on_or_reply(state, record, onion.REPLY_COVER, None)
         elif record.op == OpCode.INIT:
             action = do_init(state, record)
         elif state.role == ROLE_UNINIT:
@@ -105,13 +109,10 @@ def _seal_on(state: NodeState, record: OnionRecord, payload):
 
 
 def _send_on_or_reply(state: NodeState, record: OnionRecord, kind: str, payload: bytes):
-    """Pass the result on to the next hop. The last hop of a route (no next
-    hop, a record marked end, or one carrying labels) instead replies `kind`
-    to the designer's return address."""
-    if _has_next_hop(record) and not record.end and record.labels is None:
+    """Pass the result on to the next hop. The last hop of a route instead
+    replies `kind` to the return address, which handle_packet has checked."""
+    if _has_next_hop(record):
         return _seal_on(state, record, payload)
-    if record.return_addr is None or record.return_pk is None:
-        raise ProtocolError(f"{record.op.name.lower()} record with nowhere to send")
     return Send(record.return_addr, onion.pack_reply(record.op, kind, record.return_pk,
                                                      payload, state.packet_len))
 

@@ -35,12 +35,10 @@ left out:
     11   labels         count u32 BE, then int64 LE each
     12   return_addr    UTF-8 "host:port"
     13   return_pk      X25519 public key, 32 bytes
-    14   end            flag, 0x01
-    15   reply          UTF-8 "loss" | "ack" | "output"
-    16   junk           random bytes
+    15   reply          UTF-8 "loss" | "ack" | "output" | "cover"
 
-Unknown tags are ignored. A record that fails to decode raises FramingError,
-so a node drops the packet that carried it.
+Tags 14 and 16 are retired. Unknown tags are ignored. A record that fails
+to decode raises FramingError, so a node drops the packet that carried it.
 """
 
 import os
@@ -58,7 +56,6 @@ from .nn import LINEAR, PrimitiveOp, LayerSpec
 MAGIC = b"MXNN"
 VERSION = 2
 DEFAULT_PACKET_LEN = 524288
-COVER_PAYLOAD_LEN = 4096  # random bytes sealed as a cover packet's payload
 HEADER_LEN = len(MAGIC) + 1 + 4 + 4
 
 
@@ -88,6 +85,7 @@ ROLE_DUMMY = "dummy"
 REPLY_LOSS = "loss"
 REPLY_ACK = "ack"
 REPLY_OUTPUT = "output"
+REPLY_COVER = "cover"
 
 
 @dataclass
@@ -109,10 +107,8 @@ class OnionRecord:
     labels: np.ndarray | None = None
     return_addr: Address | None = None
     return_pk: bytes | None = None
-    end: bool = False
     # designer-bound replies
     reply: str | None = None
-    junk: bytes | None = None
 
 
 _KIND_CODES = {"linear": 1, "relu": 2, "logsoftmax": 3, "nllloss": 4, "identity": 5}
@@ -195,9 +191,7 @@ _FIELDS = {
     11: ("labels", encode_labels, decode_labels),
     12: ("return_addr", *_ADDR),
     13: ("return_pk", *_RAW),
-    14: ("end", *_FLAG),
     15: ("reply", *_TEXT),
-    16: ("junk", *_RAW),
 }
 
 
@@ -395,29 +389,24 @@ def pack_test(cascade: CascadeSpec, data: np.ndarray, end_slot: int) -> bytearra
     if cascade.entries[end_slot - 1].layer is None:
         raise ValueError(f"end slot {end_slot} is a dummy relay")
     data = np.ascontiguousarray(data, dtype=np.float32)
-    onion = _nest_to_designer(cascade, cascade.entries[:end_slot], OpCode.TEST, end=True)
+    onion = _nest_to_designer(cascade, cascade.entries[:end_slot], OpCode.TEST)
     payload = crypto.seal(cascade.entries[0].pk, encode_matrix(data))
     return build_packet(payload, onion, cascade.packet_len)
 
 
 def pack_cover_loop(cascade: CascadeSpec) -> bytearray:
-    """A loop message: forward-shaped cover onion that traverses every hop and
-    comes back to the designer. Every record is flagged cover and padded with
-    random junk fields; hops relay it without any model computation."""
-    designer = CascadeEntry("designer", cascade.designer_addr, cascade.designer_pk, None)
-    hops = cascade.entries + [designer]
-    records = [OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32)) for _ in hops]
-    onion = _nest(hops, records)
-    payload = crypto.seal(cascade.entries[0].pk, os.urandom(COVER_PAYLOAD_LEN))
-    return build_packet(payload, onion, cascade.packet_len)
+    """A loop message: a forward-shaped cover onion with no payload that
+    traverses every hop; the last hop replies `cover` to the designer. Hops
+    relay it without any model computation."""
+    records = [OnionRecord(op=OpCode.FORWARD, cover=True) for _ in cascade.entries]
+    onion = _nest_to_designer(cascade, cascade.entries, OpCode.FORWARD, records)
+    return build_packet(b"", onion, cascade.packet_len)
 
 
 def pack_single_cover(target_pk: bytes, packet_len: int) -> bytearray:
     """One-hop cover packet sealed to `target_pk`; the receiving node drops it."""
-    rec = OnionRecord(op=OpCode.FORWARD, cover=True, junk=os.urandom(32))
-    onion = crypto.seal(target_pk, encode_record(rec))
-    payload = crypto.seal(target_pk, os.urandom(COVER_PAYLOAD_LEN))
-    return build_packet(payload, onion, packet_len)
+    onion = crypto.seal(target_pk, encode_record(OnionRecord(op=OpCode.FORWARD, cover=True)))
+    return build_packet(b"", onion, packet_len)
 
 
 def pack_reply(op: OpCode, kind: str, designer_pk: bytes, payload_plain: bytes,

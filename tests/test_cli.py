@@ -10,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from mixnn import cli
-from mixnn.crypto import open_sealed, seal
+from mixnn.crypto import gen_keypair, open_sealed, seal
 from mixnn.directory import Directory
-from mixnn.harness import DirectoryServer
+from mixnn.harness import DirectoryClient, DirectoryServer, spawn_pool
 
 
 SIM_CONFIG = """
@@ -61,12 +61,61 @@ class TestKeygen:
         mode = stat.S_IMODE(os.stat(tmp_path / "k.sk").st_mode)
         assert mode == 0o600
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing-0644"])
+    def test_sk_is_created_private(self, tmp_path, monkeypatch, existing):
+        # the mode must not depend on a chmod after the key is written
+        sk_path = tmp_path / "k.sk"
+        if existing:
+            sk_path.write_text("old\n")
+            sk_path.chmod(0o644)
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        old_umask = os.umask(0o022)
+        try:
+            result = CliRunner().invoke(cli.main, ["keygen", "--out", str(tmp_path / "k")])
+        finally:
+            os.umask(old_umask)
+        assert result.exit_code == 0, result.output
+        assert stat.S_IMODE(os.stat(sk_path).st_mode) == 0o600
+
     def test_no_command_prints_sk(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli.main, ["keygen", "--out", str(tmp_path / "k"),
                                           "--seed", "aa"])
         sk_b64 = (tmp_path / "k.sk").read_text().strip()
         assert sk_b64 not in result.output
+
+
+class TestReadKeypair:
+    def write_pair(self, tmp_path, pk, sk):
+        base = tmp_path / "k"
+        (tmp_path / "k.pk").write_text(base64.b64encode(pk).decode() + "\n")
+        (tmp_path / "k.sk").write_text(base64.b64encode(sk).decode() + "\n")
+        return str(base)
+
+    def test_keygen_pair_reads_back(self, tmp_path):
+        kp = gen_keypair(b"a")
+        assert cli._read_keypair(self.write_pair(tmp_path, kp.pk, kp.sk)) == kp
+
+    def test_mixed_pair_rejected(self, tmp_path):
+        a, b = gen_keypair(b"a"), gen_keypair(b"b")
+        with pytest.raises(ValueError, match="not the public key"):
+            cli._read_keypair(self.write_pair(tmp_path, a.pk, b.sk))
+
+    @pytest.mark.parametrize("short", ["pk", "sk"])
+    def test_31_byte_key_rejected(self, tmp_path, short):
+        kp = gen_keypair(b"a")
+        pk = kp.pk[:31] if short == "pk" else kp.pk
+        sk = kp.sk[:31] if short == "sk" else kp.sk
+        with pytest.raises(ValueError, match="32 bytes"):
+            cli._read_keypair(self.write_pair(tmp_path, pk, sk))
+
+    def test_node_with_mixed_pair_is_usage_error(self, tmp_path):
+        a, b = gen_keypair(b"a"), gen_keypair(b"b")
+        base = self.write_pair(tmp_path, a.pk, b.sk)
+        result = CliRunner().invoke(cli.main, ["node", "--key", base,
+                                               "--directory", "127.0.0.1:1"])
+        assert result.exit_code == 2, result.output
+        assert f"bad key pair {base}" in result.output
 
 
 class TestConfigParsing:
@@ -128,7 +177,7 @@ class TestTrainCommand:
         out = str(tmp_path / "metrics.csv")
         result = CliRunner().invoke(cli.main, ["train", "--config", cfg, "--out", out])
         assert result.exit_code == 0
-        assert open(out).read().startswith("epoch,")
+        assert (tmp_path / "metrics.csv").read_text().startswith("epoch,")
 
 
 class TestTestCommand:
@@ -246,6 +295,16 @@ class TestBaselineAndCompare:
         result = CliRunner().invoke(cli.main, ["compare", "--metrics", a, b])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("row", ["1,0.5,notanumber,1.0", "1"],
+                             ids=["accuracy-not-a-number", "one-column"])
+    def test_malformed_file_is_usage_error(self, tmp_path, row):
+        good = write(tmp_path, "good.csv",
+                     "epoch,loss_mean,accuracy,wall_seconds\n1,0.5,0.9,1.0\n")
+        bad = write(tmp_path, "bad.csv", f"epoch,loss_mean,accuracy,wall_seconds\n{row}\n")
+        result = CliRunner().invoke(cli.main, ["compare", "--metrics", good, bad])
+        assert result.exit_code == 2, result.output
+        assert f"malformed metrics file {bad}" in result.output
+
     def test_reported_epoch10_gap_from_different_seeds(self, tmp_path):
         # two training runs with unrelated seeds land about 0.006 apart at
         # epoch 10 (0.9638 vs 0.9699): reported, and above the 0.001 gate
@@ -258,6 +317,39 @@ class TestBaselineAndCompare:
         result = CliRunner().invoke(cli.main, ["compare", "--metrics", a, b])
         assert result.exit_code == 1
         assert "delta=0.006071" in result.output
+
+
+class TestSocketMode:
+    @pytest.fixture
+    def socket_config(self, tmp_path):
+        """A directory server and five socket nodes in this process, and a
+        config that trains on them."""
+        server = DirectoryServer(Directory())
+        server.start()
+        pool = spawn_pool("socket", 5, DirectoryClient(server.address), packet_len=262144)
+        try:
+            yield SIM_CONFIG.replace("mode = simulated", "mode = socket") + (
+                f"directory = {server.address}\n")
+        finally:
+            pool.stop()
+            server.stop()
+
+    def test_train_matches_baseline(self, tmp_path, socket_config):
+        cfg = write(tmp_path, "socket.cfg", socket_config)
+        runner = CliRunner()
+        train = runner.invoke(cli.main, ["train", "--config", cfg])
+        assert train.exit_code == 0, train.output
+        baseline = runner.invoke(cli.main, ["baseline", "--config", cfg])
+        assert baseline.exit_code == 0, baseline.output
+        loss_mean = [r.output.splitlines()[1].split(",")[1] for r in (train, baseline)]
+        assert loss_mean[0] == loss_mean[1]
+
+    def test_fault_plan_is_config_error(self, tmp_path, socket_config):
+        plan = write(tmp_path, "faults.txt", "node=slot:3 action=kill at_iteration=2\n")
+        cfg = write(tmp_path, "socket.cfg", socket_config + f"fault_plan = {plan}\n")
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error: fault_plan needs mode = simulated" in result.output
 
 
 class TestNodeCommand:
@@ -288,7 +380,7 @@ class TestNodeCommand:
                     pytest.fail("node never appeared in the directory")
             finally:
                 proc.send_signal(signal.SIGINT)
-                proc.wait(timeout=10)
+                proc.communicate(timeout=10)  # waits, and closes the pipes
             assert proc.returncode == 0
         finally:
             server.stop()
@@ -313,11 +405,11 @@ class TestNodeCommand:
                 second = self._popen("node", "--key", str(tmp_path / "k2"),
                                      "--directory", str(server.address),
                                      "--node-id", "dup")
-                second.wait(timeout=10)
+                second.communicate(timeout=10)
                 assert second.returncode != 0
             finally:
                 first.send_signal(signal.SIGINT)
-                first.wait(timeout=10)
+                first.communicate(timeout=10)
         finally:
             server.stop()
 

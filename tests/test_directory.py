@@ -76,7 +76,7 @@ class TestPersistence:
         store = str(tmp_path / "records.txt")
         d = Directory(store_path=store)
         d.register(rec("a", keypair.pk))
-        blob = open(store, "rb").read()
+        blob = (tmp_path / "records.txt").read_bytes()
         assert keypair.sk not in blob
 
 

@@ -3,6 +3,7 @@ import struct
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -67,17 +68,17 @@ class TestIdxLoader:
     def test_bad_magic(self, tmp_path):
         images = np.zeros((2, 28, 28), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
-        blob = bytearray(open(img, "rb").read())
+        blob = bytearray(Path(img).read_bytes())
         blob[3] = 0x99
-        open(img, "wb").write(bytes(blob))
+        Path(img).write_bytes(blob)
         with pytest.raises(ValueError, match="magic"):
             load_mnist_idx(img, lbl)
 
     def test_truncated_pixels(self, tmp_path):
         images = np.zeros((4, 28, 28), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, np.zeros(4, dtype=np.uint8))
-        blob = open(img, "rb").read()
-        open(img, "wb").write(blob[:-100])
+        blob = Path(img).read_bytes()
+        Path(img).write_bytes(blob[:-100])
         with pytest.raises(ValueError, match="pixel"):
             load_mnist_idx(img, lbl)
 
@@ -341,7 +342,7 @@ class TestMetricsFile:
         _, metrics = run_baseline(small_model(), ds.images, ds.labels, config)
         path = str(tmp_path / "m.csv")
         write_metrics(path, metrics)
-        text = open(path).read()
+        text = Path(path).read_text()
         lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert lines[0] == "epoch,loss_mean,accuracy,wall_seconds"
         assert len(lines) == 3
@@ -365,4 +366,4 @@ class TestMetricsFile:
         assert len(partial.crash_events) == 1
         path = str(tmp_path / "aborted.csv")
         write_metrics(path, partial)
-        assert "# crashes=1" in open(path).read()
+        assert "# crashes=1" in Path(path).read_text()

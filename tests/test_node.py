@@ -185,6 +185,43 @@ class TestStateMachine:
         assert isinstance(handle_packet(states[2], pkt), Drop)
 
 
+def _snapshot(state):
+    params = [a.copy() for layer in state.params if layer for a in layer]
+    return params, state.role, state.cache
+
+
+class TestNowhereToSend:
+    """A record that names neither a next hop nor a return address is
+    dropped before the hop changes any state."""
+
+    def assert_dropped_unchanged(self, state, pkt):
+        params, role, cache = _snapshot(state)
+        action = handle_packet(state, pkt)
+        assert isinstance(action, Drop) and "nowhere to send" in action.reason
+        for before, after in zip(params, _snapshot(state)[0], strict=True):
+            npt.assert_array_equal(before, after)
+        assert state.role == role and state.cache is cache
+
+    def test_outsider_init_leaves_parameters(self, keys):
+        cascade, states = build(keys, SMALL)
+        init_all(cascade, states)
+        record = onion.OnionRecord(op=OpCode.INIT, role=onion.ROLE_ACTUAL,
+                                   chain=[nn.linear(8, 6), nn.relu()], seed=99)
+        pkt = onion.build_packet(b"", seal(keys[0].pk, onion.encode_record(record)), L)
+        self.assert_dropped_unchanged(states[0], pkt)
+
+    def test_backward_after_forward_leaves_parameters_and_cache(self, keys):
+        cascade, states = build(keys, SMALL)
+        init_all(cascade, states)
+        run_chain(cascade, states, onion.pack_forward(
+            cascade, np.ones((2, 8), dtype=np.float32), np.array([0, 1])), (0, 1, 2))
+        assert states[1].cache is not None
+        record = onion.encode_record(onion.OnionRecord(op=OpCode.BACKWARD))
+        grad = onion.encode_matrix(np.full((2, 4), 0.5, dtype=np.float32))
+        pkt = onion.build_packet(seal(keys[1].pk, grad), seal(keys[1].pk, record), L)
+        self.assert_dropped_unchanged(states[1], pkt)
+
+
 NEXT = Address("next.test", 7100)
 F, B, T = OpCode.FORWARD, OpCode.BACKWARD, OpCode.TEST
 
@@ -489,9 +526,17 @@ class TestCover:
             assert isinstance(action, Send)
             pkt = action.data
         assert all(s.compute_count == 0 for s in states)
-        # the designer gets its own loop packet back
+        # the last hop replies cover to the designer
         record, _, _ = onion.unwrap(keys[-1].sk, pkt, L)
-        assert record.cover and record.inner is None
+        assert record.reply == onion.REPLY_COVER
+
+    def test_loop_carries_no_payload_at_any_hop(self, keys):
+        cascade, states = build(keys, SMALL)
+        pkt = onion.pack_cover_loop(cascade)
+        for i in range(3):
+            assert len(onion.parse_packet(pkt, L)[0]) == 0, f"hop {i}"
+            pkt = handle_packet(states[i], pkt).data
+        assert len(onion.parse_packet(pkt, L)[0]) == 0, "reply"
 
     def test_cover_relays_even_before_init(self, keys):
         cascade, states = build(keys, SMALL)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from mixnn import nn, onion
-from mixnn.crypto import Address, DecryptionError, gen_keypair, seal
+from mixnn.crypto import Address, DecryptionError, gen_keypair
 from mixnn.onion import (CascadeEntry, CascadeSpec, CapacityError, FramingError,
                          OpCode, unwrap)
 
@@ -300,14 +300,14 @@ class TestPackTest:
                 record, _, pkt = unwrap(keys[i].sk, pkt, L)
                 hops += 1
             assert hops == end
-            assert record.end and record.return_addr == cascade.designer_addr
+            assert record.next is None and record.return_addr == cascade.designer_addr
             assert pkt is None
 
     def test_single_hop_route(self, keys):
         cascade = make_cascade(keys, SMALL)
         pkt = onion.pack_test(cascade, np.zeros((2, 8), dtype=np.float32), 1)
         record, payload, nxt = unwrap(keys[0].sk, pkt, L)
-        assert record.end and nxt is None and payload is not None
+        assert record.next is None and nxt is None and payload is not None
 
     def test_end_on_dummy_rejected(self, keys):
         cascade = make_cascade(keys, SMALL, dummies=(1,))
@@ -325,21 +325,15 @@ class TestCoverLoop:
         cascade = make_cascade(keys, SMALL)
         pkt = onion.pack_cover_loop(cascade)
         assert len(pkt) == L
-        for i in range(3):
+        for i in range(2):
             record, _, _ = unwrap(keys[i].sk, pkt, L)
             assert record.cover and record.op == OpCode.FORWARD
-            # relay exactly as a node would: re-seal payload, forward inner
-            _, payload, _ = unwrap(keys[i].sk, pkt, L)
-            payload_ct = seal(record.next_pk, payload)
-            pkt = onion.build_packet(payload_ct, record.inner, L)
-        # now sealed to the designer
-        record, _, _ = unwrap(keys[-1].sk, pkt, L)
-        assert record.cover and record.inner is None
-
-    def test_cover_records_carry_junk(self, keys):
-        cascade = make_cascade(keys, SMALL)
-        record, _, _ = unwrap(keys[0].sk, onion.pack_cover_loop(cascade), L)
-        assert record.junk and len(record.junk) >= 16
+            # relay exactly as a node would: forward the inner onion
+            pkt = onion.build_packet(b"", record.inner, L)
+        # the last hop replies to the designer
+        record, _, _ = unwrap(keys[2].sk, pkt, L)
+        assert record.cover and record.return_addr == cascade.designer_addr
+        assert record.next is None
 
 
 class TestUniformLength:
@@ -417,9 +411,7 @@ class TestRecordCodec:
         "0000000000000000" "0900000000000000" "0300000000000000",
         "0c" "0000000b" "642e746573743a36303030",              # return_addr d.test:6000
         "0d" "00000003" "64706b",                              # return_pk
-        "0e" "00000001" "01",                                  # end
         "0f" "00000004" "6c6f7373",                            # reply loss
-        "10" "00000002" "00ff",                                # junk
     ]))
 
     def every_field(self):
@@ -428,8 +420,8 @@ class TestRecordCodec:
             inner=b"inner", role=onion.ROLE_ACTUAL,
             chain=[nn.linear(2, 3), nn.relu(), nn.logsoftmax(), nn.nllloss(), nn.identity()],
             learning_rate=0.01, momentum=0.9, seed=2**40 + 5, labels=np.array([0, 9, 3]),
-            return_addr=Address("d.test", 6000), return_pk=b"dpk", end=True,
-            reply=onion.REPLY_LOSS, junk=b"\x00\xff")
+            return_addr=Address("d.test", 6000), return_pk=b"dpk",
+            reply=onion.REPLY_LOSS)
 
     def test_golden_bytes_every_field(self):
         rec = self.every_field()
