@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import harness, nn, onion
-from .crypto import KEY_LEN, Address, KeyPair, KeyRecord, gen_keypair, public_key
+from .crypto import KEY_LEN, Address, KeyPair, KeyRecord, gen_keypair
 from .designer import CrashDetected, Designer, ProvisionPlan, TrainingConfig
 from .directory import Directory
 from .harness import (DirectoryClient, DirectoryServer, NodeRuntime, SimNet,
@@ -156,9 +156,10 @@ def _read_keypair(basename: str) -> KeyPair:
         sk = base64.b64decode(f.read().strip())
     if len(pk) != KEY_LEN or len(sk) != KEY_LEN:
         raise ValueError(f"keys must be {KEY_LEN} bytes, got {len(pk)} (.pk) and {len(sk)} (.sk)")
-    if public_key(sk) != pk:
+    kp = KeyPair(pk=pk, sk=sk)
+    if kp.private.public_key().public_bytes_raw() != pk:
         raise ValueError(".pk is not the public key of .sk")
-    return KeyPair(pk=pk, sk=sk)
+    return kp
 
 
 def _serve_until_signalled(server, banner: str):

@@ -10,6 +10,11 @@ would still open.
 
 Ciphertext layout: [ephemeral X25519 public key 32][body][GCM tag 16].
 The overhead over the plaintext length is a constant 48 bytes.
+
+open_sealed takes the recipient's private key either raw (32 bytes) or
+parsed (X25519PrivateKey). Parsing derives the public key, which costs about
+as much as the rest of an open, so a long-lived holder passes
+KeyPair.private, parsed once when the pair is made.
 """
 
 import base64
@@ -57,7 +62,13 @@ class Address:
 @dataclass
 class KeyPair:
     pk: bytes  # raw X25519 public key, 32 bytes
-    sk: bytes  # raw X25519 private key, 32 bytes
+    sk: bytes = field(repr=False)  # raw X25519 private key, 32 bytes
+    # sk parsed; filled from sk when not given
+    private: X25519PrivateKey | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.private is None:
+            self.private = X25519PrivateKey.from_private_bytes(self.sk)
 
 
 @dataclass
@@ -92,12 +103,8 @@ def gen_keypair(seed: bytes | None = None) -> KeyPair:
     """Generate an X25519 key pair. With a seed the private key is
     SHA-256(seed), so generation is deterministic (intended for tests)."""
     sk = hashlib.sha256(seed).digest() if seed is not None else os.urandom(KEY_LEN)
-    return KeyPair(pk=public_key(sk), sk=sk)
-
-
-def public_key(sk: bytes) -> bytes:
-    """The X25519 public key of a raw private key."""
-    return X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+    private = X25519PrivateKey.from_private_bytes(sk)
+    return KeyPair(pk=private.public_key().public_bytes_raw(), sk=sk, private=private)
 
 
 def seal_overhead() -> int:
@@ -119,15 +126,17 @@ def seal(pk: bytes, plaintext: bytes) -> bytes:
     return epk + aead.encrypt(nonce, plaintext, None)  # body || 16-byte tag
 
 
-def open_sealed(sk: bytes, ciphertext: bytes) -> bytes:
-    """Open a sealed ciphertext. Raises DecryptionError on any corruption,
-    truncation, or key mismatch; never returns partial plaintext."""
+def open_sealed(sk: "bytes | X25519PrivateKey", ciphertext: bytes) -> bytes:
+    """Open a sealed ciphertext with a raw or parsed private key. Raises
+    DecryptionError on any corruption, truncation, or key mismatch; never
+    returns partial plaintext."""
     try:
         if len(ciphertext) < seal_overhead():
             raise ValueError("truncated")
+        if not isinstance(sk, X25519PrivateKey):
+            sk = X25519PrivateKey.from_private_bytes(sk)
         epk = bytes(ciphertext[:KEY_LEN])  # from_public_bytes takes bytes only
-        shared = X25519PrivateKey.from_private_bytes(sk).exchange(
-            X25519PublicKey.from_public_bytes(epk))
+        shared = sk.exchange(X25519PublicKey.from_public_bytes(epk))
         aead, nonce = _aead(shared, epk)
         return aead.decrypt(nonce, memoryview(ciphertext)[KEY_LEN:], None)
     except Exception as exc:

@@ -353,8 +353,9 @@ class Designer:
             except TimeoutError:
                 raise CrashDetected(f"no response within time bound T={timeout:.6g}s") from None
             try:
-                record, payload, _ = onion.unwrap(self.keypair.sk, raw,
-                                                  expected_len=cascade.packet_len)
+                record, payload, _ = onion.unwrap(self.keypair.private, raw,
+                                                  expected_len=cascade.packet_len,
+                                                  build_next=False)
             except Exception as exc:
                 log.warning("designer dropped undecipherable reply: %s", exc)
                 continue

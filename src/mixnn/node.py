@@ -59,8 +59,8 @@ class NodeState:
 def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
     """Process one inbound packet; returns Send or Drop and logs the outcome."""
     try:
-        record, payload, _ = onion.unwrap(state.keypair.sk, packet,
-                                          expected_len=state.packet_len)
+        record, payload, _ = onion.unwrap(state.keypair.private, packet,
+                                          expected_len=state.packet_len, build_next=False)
     except (DecryptionError, FramingError) as exc:
         log.warning("node=%s op=? outcome=dropped src=%s err=%s", state.node_id, src, exc)
         return Drop("tamper-or-misroute")

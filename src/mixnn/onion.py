@@ -13,9 +13,13 @@ ciphertext is sealed to the next hop and is indecipherable here.
 
 The padding is an AES-256-CTR keystream under a 32-byte key and a 16-byte
 initial counter drawn from os.urandom for each packet and discarded once the
-packet is built, so no two packets share padding. build_packet writes the
-whole packet into one bytearray; no code mutates a packet after that, and
-parse_packet returns memoryview slices of it rather than copies.
+packet is built, so no two packets share padding. build_packet writes every
+byte of the packet into one L-byte bytearray, which it takes from a small
+free list: a buffer is rewritten only when nothing else refers to it, so a
+packet is never mutated while anyone holds it, and parse_packet returns
+memoryview slices of it rather than copies. A hop builds only the packet it
+sends; unwrap builds the next hop's packet only for callers that peel an
+onion hop by hop.
 
 Records are encoded as tag-length-value fields, [tag u8][len u32 BE][value],
 in ascending tag order. A field that is None, and a flag that is false, is
@@ -43,6 +47,7 @@ to decode raises FramingError, so a node drops the packet that carried it.
 
 import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -136,22 +141,24 @@ def decode_chain(data: bytes):
 
 def encode_matrix(m: np.ndarray) -> bytes:
     """[rows u32 BE][cols u32 BE][row-major float32 LE data]."""
-    m = np.ascontiguousarray(m, dtype=np.float32)
+    m = np.ascontiguousarray(m, "<f4")
     if m.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got shape {m.shape}")
-    return struct.pack(">II", m.shape[0], m.shape[1]) + m.astype("<f4").tobytes()
+    return struct.pack(">II", m.shape[0], m.shape[1]) + m.tobytes()
 
 
 def decode_matrix(data: bytes) -> np.ndarray:
+    """Inverse of encode_matrix. On a little-endian host the result is a
+    read-only view of data, not a copy; no kernel writes to its input."""
     if len(data) < 8:
         raise FramingError("matrix header truncated")
     rows, cols = struct.unpack(">II", data[:8])
-    body = data[8:]
-    if len(body) != rows * cols * 4:
+    if len(data) - 8 != rows * cols * 4:
         raise FramingError(
-            f"matrix body is {len(body)} bytes, header says {rows}x{cols}"
+            f"matrix body is {len(data) - 8} bytes, header says {rows}x{cols}"
         )
-    return np.frombuffer(body, dtype="<f4").reshape(rows, cols).astype(np.float32)
+    body = np.frombuffer(data, dtype="<f4", offset=8)
+    return body.reshape(rows, cols).astype(np.float32, copy=False)
 
 
 def encode_labels(labels: np.ndarray) -> bytes:
@@ -267,25 +274,60 @@ class CascadeSpec:
         return len(self.entries)
 
 
+# Packet buffers build_packet may rewrite; the empty ones are free slots.
+_buffers = [bytearray() for _ in range(4)]
+_zeros = b""  # the keystream source: all zero, grown to the longest padding
+
+
+def _packet_buffer(packet_len: int) -> bytearray:
+    """A packet_len buffer that nothing outside _buffers refers to.
+
+    A pooled buffer is handed out only when sys.getrefcount counts no holder
+    but _buffers, the local `buf` and the call's argument. Any other holder,
+    a memoryview from parse_packet included, keeps the buffer out of use, so
+    callers never release a packet. This is safe under socket threads: a
+    thread checks a buffer only while its own `buf` refers to it, and the
+    interpreter lock makes each refcount read whole, so once one thread has
+    seen itself as the only holder, every other thread counts that thread's
+    reference too. Writing a slot races harmlessly: the buffer it replaces
+    is simply no longer pooled.
+    """
+    free = None
+    for i in range(len(_buffers)):
+        buf = _buffers[i]
+        if sys.getrefcount(buf) == 3:
+            if len(buf) == packet_len:
+                return buf
+            free = i
+    buf = bytearray(packet_len)
+    if free is not None:
+        _buffers[free] = buf
+    return buf
+
+
 def build_packet(payload_ct: bytes, onion_ct: bytes, packet_len: int) -> bytearray:
-    """Assemble a packet in one packet_len buffer. The tail after the body is
-    an AES-256-CTR keystream under a key and initial counter drawn fresh for
-    this packet and dropped on return."""
+    """Assemble a packet in one packet_len buffer, overwriting every byte.
+    The tail after the body is an AES-256-CTR keystream under a key and
+    initial counter drawn fresh for this packet and dropped on return."""
+    global _zeros
     plen, olen = len(payload_ct), len(onion_ct)
     end = HEADER_LEN + plen + olen
     if end > packet_len:
         raise CapacityError(needed=end, limit=packet_len)
-    pkt = bytearray(packet_len)
+    pkt = _packet_buffer(packet_len)
     struct.pack_into(">4sBI", pkt, 0, MAGIC, VERSION, plen)
     off = HEADER_LEN - 4  # past magic, version and payload_ct_len
     pkt[off:off + plen] = payload_ct
     off += plen
     struct.pack_into(">I", pkt, off, olen)
     pkt[off + 4:end] = onion_ct
+    zeros = _zeros  # another thread may swap in a shorter one
+    if len(zeros) < packet_len - end:
+        zeros = _zeros = bytes(packet_len - end)
     key_ctr = os.urandom(48)
-    pad = memoryview(pkt)[end:]
     keystream = Cipher(algorithms.AES(key_ctr[:32]), modes.CTR(key_ctr[32:])).encryptor()
-    keystream.update_into(pad, pad)  # the tail is zero, so this writes the keystream
+    # a reused tail still holds an earlier packet, so encrypt zeros over it
+    keystream.update_into(memoryview(zeros)[:packet_len - end], memoryview(pkt)[end:])
     return pkt
 
 
@@ -418,19 +460,23 @@ def pack_reply(op: OpCode, kind: str, designer_pk: bytes, payload_plain: bytes,
     return build_packet(payload, onion, packet_len)
 
 
-def unwrap(sk: bytes, packet: bytes, expected_len: int | None = None):
-    """Open one onion layer.
+def unwrap(sk: "bytes | crypto.X25519PrivateKey", packet: bytes,
+           expected_len: int | None = None, build_next: bool = True):
+    """Open one onion layer with a raw or parsed private key (see
+    crypto.open_sealed).
 
-    Returns (record, payload_plain, next_packet). next_packet is the inner
-    onion repackaged with an empty payload and fresh padding at the incoming
-    packet's length, for peeling an onion hop by hop; a node builds its own
-    outbound packet. Raises DecryptionError for onion or payload material not
-    sealed to this key, FramingError for malformed packets.
+    Returns (record, payload_plain, next_packet). With build_next,
+    next_packet is the inner onion repackaged with an empty payload and
+    fresh padding at the incoming packet's length, for peeling an onion hop
+    by hop; otherwise, and when there is no inner onion, it is None. A node
+    passes build_next=False, because it builds the one packet it sends
+    itself. Raises DecryptionError for onion or payload material not sealed
+    to this key, FramingError for malformed packets.
     """
     payload_ct, onion_ct = parse_packet(packet, expected_len)
     record = decode_record(crypto.open_sealed(sk, onion_ct))
     payload_plain = crypto.open_sealed(sk, payload_ct) if payload_ct else None
     next_packet = None
-    if record.inner is not None:
+    if build_next and record.inner is not None:
         next_packet = build_packet(b"", record.inner, len(packet))
     return record, payload_plain, next_packet

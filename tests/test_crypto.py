@@ -143,3 +143,18 @@ class TestKeyRecord:
     def test_record_never_holds_sk(self, keypair):
         rec = KeyRecord("node-1", Address("10.0.0.1", 9000), keypair.pk, {})
         assert keypair.sk not in rec.to_line().encode()
+
+
+class TestParsedKey:
+    def test_parsed_key_opens_like_raw_bytes(self, keypair):
+        ct = seal(keypair.pk, b"payload")
+        assert open_sealed(keypair.private, ct) == open_sealed(keypair.sk, ct) == b"payload"
+
+    def test_wrong_parsed_key_fails(self, keypair, keypair2):
+        with pytest.raises(DecryptionError):
+            open_sealed(keypair2.private, seal(keypair.pk, b"secret"))
+
+    def test_pair_from_bytes_parses_its_secret(self, keypair):
+        kp = crypto.KeyPair(pk=keypair.pk, sk=keypair.sk)
+        assert kp == keypair
+        assert kp.private.public_key().public_bytes_raw() == keypair.pk

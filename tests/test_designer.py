@@ -1,18 +1,23 @@
 import dataclasses
 import logging
+import os
 import re
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from mixnn import nn, onion
+from mixnn.cli import TABLE_MODEL, parse_model
+from mixnn.crypto import gen_keypair
 from mixnn.designer import (ConfigError, CrashDetected, ProvisionPlan,
                             TrainingConfig)
 from mixnn.harness import (FaultAction, FaultPlan, baseline_predict,
                            collect_cascade_params, inject_fault, run_baseline,
                            synthetic_two_gaussians)
-from mixnn.onion import unwrap
+from mixnn.onion import OpCode, unwrap
 
 from conftest import (SimWorld, params_equal, plan_np, small_config,
                       small_dataset, small_model)
@@ -383,3 +388,56 @@ class TestLoop:
         assert per_node
         for node_id, addrs in per_node.items():
             assert len(addrs) <= 2, f"{node_id} saw {addrs}"
+
+
+class TestReplyFilter:
+    def test_await_skips_undecipherable_and_wrong_kind_replies(self, caplog):
+        world = SimWorld()
+        config = small_config()
+        cascade = world.train_ready(small_model(), plan_np(5, 5), config)
+        x = small_dataset(n=8).images
+        want = world.designer.predict(cascade, x, config=config)
+        L = cascade.packet_len
+        # wrong kind, with a payload the right kind could carry
+        wrong_kind = onion.pack_reply(OpCode.TEST, onion.REPLY_ACK, cascade.designer_pk,
+                                      onion.encode_matrix(np.zeros_like(want)), L)
+        stranger = onion.pack_reply(OpCode.TEST, onion.REPLY_OUTPUT, gen_keypair().pk,
+                                    onion.encode_matrix(np.zeros_like(want)), L)
+        for junk in (os.urandom(L), stranger, wrong_kind):
+            # delivered after one link latency, long before the real reply
+            world.net.send(None, world.designer.channel.address, junk)
+        with caplog.at_level(logging.WARNING, logger="mixnn.designer"):
+            got = world.designer.predict(cascade, x, config=config)
+        assert got.tobytes() == want.tobytes()
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("undecipherable reply" in m for m in messages) == 2
+        assert sum("unexpected reply kind=ack" in m for m in messages) == 1
+
+
+class TestPerIterationWork:
+    """Once a cascade is set up, a hop builds only the packet it sends and no
+    private key is parsed again."""
+
+    def test_builds_and_key_parses(self, monkeypatch):
+        world = SimWorld()
+        config = small_config(batch_size=8)
+        model = nn.make_layer_specs(parse_model(TABLE_MODEL), config.seed)
+        cascade = world.train_ready(model, plan_np(5, 5), config)
+        ds = small_dataset(n=8)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(onion, "build_packet", counted("build", onion.build_packet))
+        monkeypatch.setattr(X25519PrivateKey, "from_private_bytes",
+                            counted("parse", X25519PrivateKey.from_private_bytes))
+        metrics = world.designer.train(cascade, ds.images, ds.labels, config)
+        assert len(metrics.losses) == 1
+        assert (calls["build"], calls["parse"]) == (2 * cascade.n + 2, 0)
+        calls.clear()
+        world.designer.predict(cascade, ds.images, batch_size=8, config=config)
+        assert (calls["build"], calls["parse"]) == (cascade.n + 1, 0)

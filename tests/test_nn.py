@@ -279,3 +279,32 @@ class TestBatchIndices:
         a = nn.batch_indices(50, 10, True, seed=1, epoch=0)
         b = nn.batch_indices(50, 10, True, seed=1, epoch=1)
         assert not np.array_equal(np.concatenate(a), np.concatenate(b))
+
+
+class TestReadOnlyInputs:
+    def test_kernels_never_write_their_inputs(self):
+        # decode_matrix hands the kernels read-only views of packet plaintext
+        rng = np.random.default_rng(4)
+        hidden = nn.LayerSpec([nn.linear(6, 5), nn.relu(), nn.linear(5, 4)], seed=2)
+        loss_layer = nn.LayerSpec([nn.logsoftmax(), nn.nllloss()], seed=0)
+        x = rng.standard_normal((3, 6)).astype(np.float32)
+        dy = rng.standard_normal((3, 4)).astype(np.float32)
+        labels = np.array([0, 3, 1])
+
+        def run(writeable):
+            def given(a):
+                a = a.copy()
+                a.setflags(write=writeable)
+                return a
+
+            params = nn.init_layer_params(hidden)
+            opt = nn.OptimizerState(params)
+            out, cache = nn.layer_forward(hidden, params, given(x))
+            dx = nn.layer_backward(hidden, params, opt, cache, given(dy))
+            loss, loss_cache = nn.layer_forward(loss_layer, [None, None], given(out),
+                                                labels=labels)
+            dz = nn.layer_backward(loss_layer, [None, None], None, loss_cache)
+            return [out, dx, loss, dz, *[p for pair in params if pair for p in pair]]
+
+        for a, b in zip(run(True), run(False)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -563,3 +563,10 @@ class TestLogging:
         messages = [r.getMessage() for r in caplog.records]
         assert any("node=n0" in m and "op=INIT" in m and "outcome=" in m
                    for m in messages)
+
+
+class TestRepr:
+    def test_secret_key_never_printed(self):
+        kp = gen_keypair()
+        assert repr(kp.sk) not in repr(kp)
+        assert repr(kp.sk) not in repr(NodeState("n0", kp))

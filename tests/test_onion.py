@@ -1,6 +1,11 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from mixnn import nn, onion
 from mixnn.crypto import Address, DecryptionError, gen_keypair
@@ -431,3 +436,65 @@ class TestRecordCodec:
         assert back.labels.dtype == np.int64
         back.labels = rec.labels = None
         assert back == rec
+
+
+class TestMatrixCopies:
+    def test_float64_input_encodes_like_float32(self):
+        m = np.random.default_rng(1).standard_normal((5, 7)).astype(np.float32)
+        assert onion.encode_matrix(m) == onion.encode_matrix(m.astype(np.float64))
+
+
+class TestBufferReuse:
+    @pytest.fixture(autouse=True)
+    def empty_pool(self, monkeypatch):
+        # buffers other tests still hold must not decide what is reused here
+        monkeypatch.setattr(onion, "_buffers", [bytearray() for _ in range(4)], raising=False)
+
+    def test_dropped_packet_is_rebuilt_in_place_with_a_clean_tail(self, monkeypatch):
+        key_ctr = bytes(range(48))
+        monkeypatch.setattr(onion.os, "urandom", lambda n: key_ctr[:n])
+        first = onion.build_packet(b"p" * 1000, b"o" * 2000, 4096)
+        first_id = id(first)
+        del first
+        # while alive, these hold the memory a freed packet object would leave
+        spacers = [bytearray(4096) for _ in range(4)]  # noqa: F841
+        second = onion.build_packet(b"", b"x", 4096)
+        assert id(second) == first_id
+        end = onion.HEADER_LEN + 1
+        keystream = Cipher(algorithms.AES(key_ctr[:32]), modes.CTR(key_ctr[32:])).encryptor()
+        assert bytes(second[end:]) == keystream.update(bytes(4096 - end))
+
+    def test_held_packets_are_never_rewritten(self):
+        held = onion.build_packet(b"a", b"b", 1024)
+        _, view = onion.parse_packet(onion.build_packet(b"c", b"d", 1024))
+        held_bytes, viewed_bytes = bytes(held), bytes(view.obj)
+        for _ in range(8):
+            pkt = onion.build_packet(b"", b"e", 1024)
+            assert pkt is not held and pkt is not view.obj
+        assert bytes(held) == held_bytes and bytes(view.obj) == viewed_bytes
+        assert view == b"d"
+
+    def test_threads_never_share_a_buffer(self):
+        deadline = time.monotonic() + 0.5
+        torn = []
+
+        def build_and_check(k):
+            body = bytes([k]) * 64
+            while time.monotonic() < deadline:
+                pkt = onion.build_packet(body, body, 1024)
+                time.sleep(0)  # let the other threads build meanwhile
+                if bytes(pkt[9:73]) != body or bytes(pkt[77:141]) != body:
+                    torn.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build_and_check, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not torn
