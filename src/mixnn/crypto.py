@@ -63,12 +63,11 @@ class Address:
 class KeyPair:
     pk: bytes  # raw X25519 public key, 32 bytes
     sk: bytes = field(repr=False)  # raw X25519 private key, 32 bytes
-    # sk parsed; filled from sk when not given
-    private: X25519PrivateKey | None = field(default=None, repr=False, compare=False)
+    # sk parsed, always from sk, so the two cannot disagree
+    private: X25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.private is None:
-            self.private = X25519PrivateKey.from_private_bytes(self.sk)
+        self.private = X25519PrivateKey.from_private_bytes(self.sk)
 
 
 @dataclass
@@ -103,8 +102,8 @@ def gen_keypair(seed: bytes | None = None) -> KeyPair:
     """Generate an X25519 key pair. With a seed the private key is
     SHA-256(seed), so generation is deterministic (intended for tests)."""
     sk = hashlib.sha256(seed).digest() if seed is not None else os.urandom(KEY_LEN)
-    private = X25519PrivateKey.from_private_bytes(sk)
-    return KeyPair(pk=private.public_key().public_bytes_raw(), sk=sk, private=private)
+    pk = X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+    return KeyPair(pk=pk, sk=sk)
 
 
 def seal_overhead() -> int:

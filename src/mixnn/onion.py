@@ -279,13 +279,28 @@ _buffers = [bytearray() for _ in range(4)]
 _zeros = b""  # the keystream source: all zero, grown to the longest padding
 
 
+def _sole_refs() -> int:
+    """What sys.getrefcount reads, in _packet_buffer's code shape, for a
+    buffer that only its list and the reading frame's local refer to.
+    Whether the call's argument counts as a reference differs between
+    interpreters (3.14 can lend a local to a call without a new reference),
+    so the value is measured here rather than assumed."""
+    pool = [bytearray()]
+    buf = pool[0]
+    return sys.getrefcount(buf)
+
+
+_SOLE_REFS = _sole_refs()
+
+
 def _packet_buffer(packet_len: int) -> bytearray:
     """A packet_len buffer that nothing outside _buffers refers to.
 
-    A pooled buffer is handed out only when sys.getrefcount counts no holder
-    but _buffers, the local `buf` and the call's argument. Any other holder,
-    a memoryview from parse_packet included, keeps the buffer out of use, so
-    callers never release a packet. This is safe under socket threads: a
+    A pooled buffer is handed out only when sys.getrefcount reads
+    _SOLE_REFS, the count measured at import for a buffer held by its list
+    and the local `buf` alone. Any other holder, a memoryview from
+    parse_packet included, raises the count and keeps the buffer out of use,
+    so callers never release a packet. This is safe under socket threads: a
     thread checks a buffer only while its own `buf` refers to it, and the
     interpreter lock makes each refcount read whole, so once one thread has
     seen itself as the only holder, every other thread counts that thread's
@@ -295,7 +310,7 @@ def _packet_buffer(packet_len: int) -> bytearray:
     free = None
     for i in range(len(_buffers)):
         buf = _buffers[i]
-        if sys.getrefcount(buf) == 3:
+        if sys.getrefcount(buf) == _SOLE_REFS:
             if len(buf) == packet_len:
                 return buf
             free = i

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -158,3 +159,10 @@ class TestParsedKey:
         kp = crypto.KeyPair(pk=keypair.pk, sk=keypair.sk)
         assert kp == keypair
         assert kp.private.public_key().public_bytes_raw() == keypair.pk
+
+    def test_parsed_key_always_follows_sk(self, keypair, keypair2):
+        with pytest.raises(TypeError):
+            crypto.KeyPair(pk=keypair.pk, sk=keypair.sk, private=keypair2.private)
+        swapped = dataclasses.replace(keypair, pk=keypair2.pk, sk=keypair2.sk)
+        ct = seal(keypair2.pk, b"payload")
+        assert open_sealed(swapped.private, ct) == b"payload"

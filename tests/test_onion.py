@@ -468,6 +468,9 @@ class TestBufferReuse:
         held = onion.build_packet(b"a", b"b", 1024)
         _, view = onion.parse_packet(onion.build_packet(b"c", b"d", 1024))
         held_bytes, viewed_bytes = bytes(held), bytes(view.obj)
+        # both sit in the pool, so only their holders keep them from reuse
+        assert any(b is held for b in onion._buffers)
+        assert any(b is view.obj for b in onion._buffers)
         for _ in range(8):
             pkt = onion.build_packet(b"", b"e", 1024)
             assert pkt is not held and pkt is not view.obj
