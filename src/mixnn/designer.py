@@ -286,11 +286,12 @@ class Designer:
             loss = onion.decode_matrix(payload)[0, 0]
 
         self.channel.send(cascade.entries[-1].address,
-                          onion.pack_backward(cascade, initial_grad))
+                          onion.pack_backward(cascade, initial_grad,
+                                              input_grad=cascade.held_first is not None))
         _, ack_payload = self._await(cascade, onion.REPLY_ACK, deadline)
         if first is not None:
             dx0 = onion.decode_matrix(ack_payload)
-            nn.layer_backward(cascade.held_first, *first, first_cache, dx0)
+            nn.layer_backward(cascade.held_first, *first, first_cache, dx0, input_grad=False)
         return loss
 
     def predict(self, cascade: Session, data, end_slot: int | None = None,

@@ -517,7 +517,9 @@ def load_mnist_idx(images_path: str, labels_path: str, limit: int | None = None)
 def synthetic_two_gaussians(n: int = 512, dim: int = 784, seed: int = 0) -> Dataset:
     """Offline stand-in for MNIST: two Gaussian classes, each lighting up its
     own block of pixels over a near-zero background, clipped to [0, 1].
-    Labels are 0/1."""
+    Labels are 0/1. dim must be at least 2, one pixel per class."""
+    if dim < 2:
+        raise ValueError(f"dim = {dim}: two classes need at least 2 pixels")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A55]))
     labels = rng.integers(0, 2, size=n).astype(np.int64)
     images = rng.uniform(0.0, 0.05, size=(n, dim)).astype(np.float32)
@@ -559,9 +561,9 @@ def run_baseline(model_specs, data, labels, config: TrainingConfig,
                 caches.append(cache)
             loss = out
             g = None
-            for spec, p, opt, cache in zip(reversed(model_specs), reversed(params),
-                                           reversed(opts), reversed(caches)):
-                g = nn.layer_backward(spec, p, opt, cache, g)
+            for i in range(len(model_specs) - 1, -1, -1):
+                g = nn.layer_backward(model_specs[i], params[i], opts[i], caches[i], g,
+                                      input_grad=i > 0)
             epoch_losses.append(loss)
             metrics.losses.append(loss)
         accuracy = float("nan")

@@ -144,7 +144,12 @@ def init_layer_params(spec: LayerSpec):
 
 
 class OptimizerState:
-    """SGD-with-momentum state: one velocity buffer per parameter matrix."""
+    """SGD-with-momentum state: one velocity buffer per parameter matrix, and
+    one float32 scratch buffer the size of the largest weight, which each
+    linear's backward step writes its weight gradient and then its update
+    into. The scratch is made at the first backward, so building the state
+    at set-up allocates no more than the velocities. Each optimizer has its
+    own: layers in one process may run backward at once."""
 
     def __init__(self, params, learning_rate: float = 0.01, momentum: float = 0.9):
         self.learning_rate = float(learning_rate)
@@ -153,6 +158,14 @@ class OptimizerState:
             None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
             for p in params
         ]
+        self._scratch = None
+
+    def scratch(self, shape) -> np.ndarray:
+        """A C-contiguous float32 view of the scratch buffer with this shape."""
+        if self._scratch is None:
+            size = max(v[0].size for v in self.velocity if v is not None)
+            self._scratch = np.empty(size, dtype=DTYPE)
+        return self._scratch[:int(np.prod(shape))].reshape(shape)
 
 
 def linear_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -161,15 +174,17 @@ def linear_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ w.T + b
 
 
-def linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Gradients of y = x @ w.T + b: returns (dw, db, dx)."""
+def linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, dw_out=None,
+                    input_grad: bool = True):
+    """Gradients of y = x @ w.T + b: returns (dw, db, dx). dw is written into
+    dw_out when given; dx is None when input_grad is false."""
     if x is None:
         raise ProtocolOrderError("linear backward without cached forward input")
     if dy.shape[0] != x.shape[0] or dy.shape[1] != w.shape[0]:
         raise ShapeError(f"gradient {dy.shape} does not match x {x.shape}, w {w.shape}")
-    dw = dy.T @ x
+    dw = np.matmul(dy.T, x, out=dw_out)
     db = dy.sum(axis=0, keepdims=True)
-    dx = dy @ w
+    dx = dy @ w if input_grad else None
     return dw, db, dx
 
 
@@ -217,15 +232,17 @@ def nll_loss(logp: np.ndarray, targets: np.ndarray):
 
 
 def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-                      learning_rate: float, momentum: float) -> None:
-    """In place: v <- momentum*v + grad; param <- param - lr*v."""
+                      learning_rate: float, momentum: float, step_out=None) -> None:
+    """In place: v <- momentum*v + grad; param <- param - lr*v. The step lr*v
+    is written into step_out when given, which may be grad itself: grad is
+    read before the step is written."""
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape}, velocity {velocity.shape} differ"
         )
     velocity *= DTYPE(momentum)
     velocity += grad
-    param -= DTYPE(learning_rate) * velocity
+    param -= np.multiply(DTYPE(learning_rate), velocity, out=step_out)
 
 
 class LayerCache:
@@ -271,12 +288,14 @@ def layer_forward(spec: LayerSpec, params, x: np.ndarray, labels=None, train: bo
 
 
 def layer_backward(spec: LayerSpec, params, opt: OptimizerState, cache: LayerCache,
-                   dy=None) -> np.ndarray:
+                   dy=None, input_grad: bool = True) -> np.ndarray | None:
     """Backward through the chain, updating parameters in place.
 
     dy is the incoming gradient w.r.t. the layer output; it must be None for
     a chain ending in nllloss (the loss gradient is taken from the cache).
-    Returns the gradient w.r.t. the layer input.
+    Returns the gradient w.r.t. the layer input. With input_grad false it
+    returns None and stops at the chain's first linear, whose input gradient
+    and everything below it no one reads; the parameter updates are the same.
     """
     if cache is None:
         raise ProtocolOrderError("backward without a cached forward pass")
@@ -289,17 +308,22 @@ def layer_backward(spec: LayerSpec, params, opt: OptimizerState, cache: LayerCac
             g = cache.saved[j]
         elif op.kind == LINEAR:
             w, b = params[j]
-            dw, db, dx = linear_backward(cache.saved[j], w, g)
+            needed = input_grad or any(o.kind == LINEAR for o in spec.chain[:j])
+            dw, db, dx = linear_backward(cache.saved[j], w, g, dw_out=opt.scratch(w.shape),
+                                         input_grad=needed)
             vw, vb = opt.velocity[j]
-            sgd_momentum_step(w, dw, vw, opt.learning_rate, opt.momentum)
+            # velocity += dw has read dw before the step overwrites it
+            sgd_momentum_step(w, dw, vw, opt.learning_rate, opt.momentum, step_out=dw)
             sgd_momentum_step(b, db, vb, opt.learning_rate, opt.momentum)
+            if dx is None:
+                return None
             g = dx
         elif op.kind == RELU:
             g = relu_backward(cache.saved[j], g)
         elif op.kind == LOGSOFTMAX:
             g = logsoftmax_backward(cache.saved[j], g)
         # identity: gradient passes through
-    return g
+    return g if input_grad else None
 
 
 def batch_indices(n: int, batch_size: int, shuffle: bool, seed: int, epoch: int):

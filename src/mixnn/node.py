@@ -184,11 +184,13 @@ def do_backward(state: NodeState, record: OnionRecord, payload):
         state.cache.saved[idx] = -state.cache.saved[idx]
     state.backward_count += 1
     state.compute_count += 1
-    dx = nn.layer_backward(state.spec, state.params, state.opt, state.cache, dy)
+    # the first hop's ack carries the input gradient only when asked, because
+    # only a designer-held first layer reads it
+    dx = nn.layer_backward(state.spec, state.params, state.opt, state.cache, dy,
+                           input_grad=_has_next_hop(record) or record.input_grad)
     state.cache = None
-    # the first layer's ack carries the input gradient so a designer-held
-    # first layer can take its local step
-    return _send_on_or_reply(state, record, onion.REPLY_ACK, onion.encode_matrix(dx))
+    return _send_on_or_reply(state, record, onion.REPLY_ACK,
+                             None if dx is None else onion.encode_matrix(dx))
 
 
 def do_test(state: NodeState, record: OnionRecord, payload):

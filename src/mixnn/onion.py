@@ -40,9 +40,14 @@ left out:
     12   return_addr    UTF-8 "host:port"
     13   return_pk      X25519 public key, 32 bytes
     15   reply          UTF-8 "loss" | "ack" | "output" | "cover"
+    17   input_grad     flag, 0x01
 
-Tags 14 and 16 are retired. Unknown tags are ignored. A record that fails
-to decode raises FramingError, so a node drops the packet that carried it.
+Tags 14 and 16 are retired. Only the first cascade hop reads input_grad, in
+the last record of a BACKWARD route: set, its ack carries the gradient with
+respect to its input, which the designer needs only when it holds a layer in
+front of that hop, so the flag tells that hop whether it does. Unknown tags
+are ignored. A record that fails to decode raises FramingError, so a node
+drops the packet that carried it.
 """
 
 import os
@@ -114,6 +119,8 @@ class OnionRecord:
     return_pk: bytes | None = None
     # designer-bound replies
     reply: str | None = None
+    # backward: the first hop's ack carries its input gradient
+    input_grad: bool = False
 
 
 _KIND_CODES = {"linear": 1, "relu": 2, "logsoftmax": 3, "nllloss": 4, "identity": 5}
@@ -199,6 +206,7 @@ _FIELDS = {
     12: ("return_addr", *_ADDR),
     13: ("return_pk", *_RAW),
     15: ("reply", *_TEXT),
+    17: ("input_grad", *_FLAG),
 }
 
 
@@ -306,7 +314,13 @@ def _packet_buffer(packet_len: int) -> bytearray:
     seen itself as the only holder, every other thread counts that thread's
     reference too. Writing a slot races harmlessly: the buffer it replaces
     is simply no longer pooled.
+
+    On an interpreter running without the GIL (a free-threaded build), a
+    refcount read from another thread need not be whole, so every call
+    returns a fresh buffer and the pool is not used.
     """
+    if not getattr(sys, "_is_gil_enabled", lambda: True)():
+        return bytearray(packet_len)
     free = None
     for i in range(len(_buffers)):
         buf = _buffers[i]
@@ -427,11 +441,15 @@ def pack_forward(cascade: CascadeSpec, data: np.ndarray, labels: np.ndarray | No
     return build_packet(payload, onion, cascade.packet_len)
 
 
-def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None) -> bytearray:
+def pack_backward(cascade: CascadeSpec, initial_grad: np.ndarray | None = None,
+                  input_grad: bool = True) -> bytearray:
     """Backward onion, nested in reverse cascade order; carries no data or
     labels. initial_grad is only present when the designer holds the loss
-    layer and must hand the last remote hop its starting gradient."""
-    onion = _nest_to_designer(cascade, cascade.entries[::-1], OpCode.BACKWARD)
+    layer and must hand the last remote hop its starting gradient.
+    input_grad asks the first cascade hop to put its input gradient in its
+    ack; without it that hop skips computing it and the ack is empty."""
+    onion = _nest_to_designer(cascade, cascade.entries[::-1], OpCode.BACKWARD,
+                              input_grad=input_grad)
     payload = b""
     if initial_grad is not None:
         payload = crypto.seal(cascade.entries[-1].pk, encode_matrix(initial_grad))

@@ -257,6 +257,13 @@ class TestMalformedConfig:
         assert "config error" in result.output and key in result.output
         assert "Traceback" not in result.output
 
+    def test_one_pixel_synthetic_input_is_config_error(self, tmp_path):
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + "input_dim = 1\n")
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and "dim" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["train", "test", "baseline"])
     def test_layers_that_do_not_chain_are_config_error(self, tmp_path, command):
         # layer 1 puts out 32 features, layer 2 takes 64

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from mixnn import nn, onion
+from mixnn import crypto, nn, node, onion
 from mixnn.cli import TABLE_MODEL, parse_model
 from mixnn.crypto import gen_keypair
 from mixnn.designer import (ConfigError, CrashDetected, ProvisionPlan,
@@ -441,3 +441,29 @@ class TestPerIterationWork:
         calls.clear()
         world.designer.predict(cascade, ds.images, batch_size=8, config=config)
         assert (calls["build"], calls["parse"]) == (cascade.n + 1, 0)
+
+    @pytest.mark.parametrize("hold_first,n,seals", [
+        pytest.param(False, 5, 22, id="all-remote"),
+        # a held first layer needs the first hop's input gradient in its ack
+        pytest.param(True, 4, 19, id="hold-first"),
+    ])
+    def test_seals_per_iteration(self, monkeypatch, hold_first, n, seals):
+        world = SimWorld()
+        config = small_config(batch_size=8, hold_first_layer=hold_first)
+        model = nn.make_layer_specs(parse_model(TABLE_MODEL), config.seed)
+        cascade = world.train_ready(model, plan_np(n, n), config)
+        ds = small_dataset(n=8)
+        count = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                count["seal"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # onion packs through crypto.seal; a hop re-seals through node.seal
+        monkeypatch.setattr(crypto, "seal", counted(crypto.seal))
+        monkeypatch.setattr(node, "seal", counted(node.seal))
+        metrics = world.designer.train(cascade, ds.images, ds.labels, config)
+        assert len(metrics.losses) == 1
+        assert count["seal"] == seals

@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import struct
 import sys
@@ -113,6 +114,22 @@ class TestSynthetic:
         mean0 = ds.images[ds.labels == 0].mean(axis=0)
         mean1 = ds.images[ds.labels == 1].mean(axis=0)
         assert np.linalg.norm(mean0 - mean1) > 1.0
+
+    @pytest.mark.parametrize("dim", [1, 0, -3])
+    def test_fewer_than_two_pixels_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            synthetic_two_gaussians(n=8, dim=dim)
+
+    def test_two_pixels_one_per_class(self):
+        ds = synthetic_two_gaussians(n=64, dim=2, seed=5)
+        for c in (0, 1):
+            assert (ds.images[ds.labels == c].argmax(axis=1) == c).all()
+
+    def test_mnist_shape_output_pinned(self):
+        # perfbench generates its data here, so the 784-pixel output is fixed
+        ds = synthetic_two_gaussians(n=64, dim=784, seed=5)
+        digest = hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest()
+        assert digest == "46a73ce6ade2f32e8b7999e4181792b5b15757831f97fe90c2d95b30464aabde"
 
 
 class TestBaseline:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -308,3 +310,132 @@ class TestReadOnlyInputs:
 
         for a, b in zip(run(True), run(False)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBufferedBackward:
+    """layer_backward writes dw and the SGD step into the optimizer's one
+    scratch buffer; the bits must match the plain expressions."""
+
+    WIDE = [nn.linear(784, 2048), nn.relu(), nn.linear(2048, 2048), nn.relu(),
+            nn.linear(2048, 256)]
+
+    @staticmethod
+    def plain_backward(spec, params, velocity, cache, dy, lr, momentum):
+        g = dy
+        for j in range(len(spec.chain) - 1, -1, -1):
+            if spec.chain[j].kind == nn.LINEAR:
+                x, (w, b), (vw, vb) = cache.saved[j], params[j], velocity[j]
+                dw, db, dx = g.T @ x, g.sum(axis=0, keepdims=True), g @ w
+                for p, grad, v in ((w, dw, vw), (b, db, vb)):
+                    v *= np.float32(momentum)
+                    v += grad
+                    p -= np.float32(lr) * v
+                g = dx
+            elif spec.chain[j].kind == nn.RELU:
+                g = nn.relu_backward(cache.saved[j], g)
+        return g
+
+    def test_wide_chain_bitwise_equal_to_plain_expressions(self):
+        spec = nn.LayerSpec(self.WIDE, seed=21)
+        rng = np.random.default_rng(8)
+        buffered, plain = nn.init_layer_params(spec), nn.init_layer_params(spec)
+        opt = nn.OptimizerState(buffered, learning_rate=0.01, momentum=0.9)
+        velocity = nn.OptimizerState(plain).velocity
+        for _ in range(3):
+            x = rng.random((64, 784), dtype=np.float32)
+            dy = rng.standard_normal((64, 256)).astype(np.float32)
+            _, cache_a = nn.layer_forward(spec, buffered, x)
+            _, cache_b = nn.layer_forward(spec, plain, x)
+            dx_a = nn.layer_backward(spec, buffered, opt, cache_a, dy)
+            dx_b = self.plain_backward(spec, plain, velocity, cache_b, dy, 0.01, 0.9)
+            assert dx_a.tobytes() == dx_b.tobytes()
+        for got, expect in zip(buffered, plain):
+            if got is not None:
+                assert got[0].tobytes() == expect[0].tobytes()
+                assert got[1].tobytes() == expect[1].tobytes()
+
+    def test_second_backward_allocates_no_weight_sized_array(self):
+        spec = nn.LayerSpec([nn.linear(2048, 2048)], seed=3)
+        params = nn.init_layer_params(spec)
+        opt = nn.OptimizerState(params)
+        rng = np.random.default_rng(2)
+        x = rng.random((64, 2048), dtype=np.float32)
+        dy = rng.standard_normal((64, 2048)).astype(np.float32)
+        _, cache = nn.layer_forward(spec, params, x)
+        nn.layer_backward(spec, params, opt, cache, dy)  # makes the scratch
+        _, cache = nn.layer_forward(spec, params, x)
+        tracemalloc.start()
+        try:
+            nn.layer_backward(spec, params, opt, cache, dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params[0][0].nbytes
+
+    def test_scratch_is_made_at_first_backward(self):
+        spec = nn.LayerSpec([nn.linear(6, 5), nn.relu(), nn.linear(5, 4)], seed=2)
+        params = nn.init_layer_params(spec)
+        opt = nn.OptimizerState(params)
+        assert opt._scratch is None
+        _, cache = nn.layer_forward(spec, params, np.ones((3, 6), dtype=np.float32))
+        nn.layer_backward(spec, params, opt, cache, np.ones((3, 4), dtype=np.float32))
+        assert opt._scratch.size == 30 and opt._scratch.dtype == nn.DTYPE
+
+    def test_step_out_may_be_grad(self):
+        p, v = f32([[1.0, 2.0]]), f32([[0.5, 0.0]])
+        p2, v2 = p.copy(), v.copy()
+        g = f32([[0.1, -0.2]])
+        nn.sgd_momentum_step(p, g.copy(), v, 0.01, 0.9)
+        scratch = g.copy()
+        nn.sgd_momentum_step(p2, scratch, v2, 0.01, 0.9, step_out=scratch)
+        assert p.tobytes() == p2.tobytes() and v.tobytes() == v2.tobytes()
+        assert scratch.tobytes() == (np.float32(0.01) * v2).tobytes()
+
+
+class TestSkipInputGradient:
+    @pytest.mark.parametrize("chain", [
+        pytest.param([nn.linear(6, 5), nn.relu(), nn.linear(5, 4)], id="hidden"),
+        pytest.param([nn.relu(), nn.linear(6, 4), nn.logsoftmax(), nn.nllloss()],
+                     id="relu-first-with-loss"),
+    ])
+    def test_same_parameter_bits_and_no_gradient(self, chain):
+        spec = nn.LayerSpec(chain, seed=4)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 6)).astype(np.float32)
+        labels = np.array([0, 3, 1]) if spec.ends_in_loss() else None
+        dy = None if labels is not None else rng.standard_normal((3, 4)).astype(np.float32)
+
+        def run(input_grad):
+            params = nn.init_layer_params(spec)
+            opt = nn.OptimizerState(params)
+            results = []
+            for _ in range(3):
+                _, cache = nn.layer_forward(spec, params, x, labels=labels)
+                results.append(nn.layer_backward(spec, params, opt, cache, dy,
+                                                 input_grad=input_grad))
+            return params, results
+
+        with_dx, dxs = run(True)
+        without, nones = run(False)
+        assert all(d.shape == x.shape for d in dxs)
+        assert nones == [None, None, None]
+        for a, b in zip(with_dx, without):
+            if a is not None:
+                assert a[0].tobytes() == b[0].tobytes()
+                assert a[1].tobytes() == b[1].tobytes()
+
+    def test_first_linear_computes_no_input_gradient(self, monkeypatch):
+        asked = []
+        real = nn.linear_backward
+
+        def spy(*args, input_grad=True, **kwargs):
+            asked.append(input_grad)
+            return real(*args, input_grad=input_grad, **kwargs)
+
+        monkeypatch.setattr(nn, "linear_backward", spy)
+        spec = nn.LayerSpec([nn.linear(6, 5), nn.relu(), nn.linear(5, 4)], seed=2)
+        params = nn.init_layer_params(spec)
+        _, cache = nn.layer_forward(spec, params, np.ones((3, 6), dtype=np.float32))
+        nn.layer_backward(spec, params, nn.OptimizerState(params), cache,
+                          np.ones((3, 4), dtype=np.float32), input_grad=False)
+        assert asked == [True, False]  # the last linear first

@@ -389,7 +389,7 @@ class TestForward:
 
 
 class TestBackward:
-    def _one_iteration(self, keys, tamper_slot=None):
+    def _one_iteration(self, keys, tamper_slot=None, input_grad=True):
         cascade, states = build(keys, SMALL)
         init_all(cascade, states)
         if tamper_slot is not None:
@@ -397,7 +397,8 @@ class TestBackward:
         x = np.random.default_rng(3).random((4, 8), dtype=np.float32)
         y = np.array([0, 1, 2, 3])
         run_chain(cascade, states, onion.pack_forward(cascade, x, y), (0, 1, 2))
-        action = run_chain(cascade, states, onion.pack_backward(cascade), (2, 1, 0))
+        action = run_chain(cascade, states,
+                           onion.pack_backward(cascade, input_grad=input_grad), (2, 1, 0))
         return cascade, states, action, x, y
 
     def test_ack_reaches_designer_with_input_grad(self, keys):
@@ -405,6 +406,23 @@ class TestBackward:
         record, payload, _ = onion.unwrap(keys[-1].sk, action.data, L)
         assert record.reply == onion.REPLY_ACK
         assert onion.decode_matrix(payload).shape == x.shape
+
+    def test_ack_without_input_grad_flag_has_no_payload(self, keys):
+        _, _, action, _, _ = self._one_iteration(keys, input_grad=False)
+        assert len(action.data) == L
+        payload_ct, _ = onion.parse_packet(action.data, L)
+        record, payload, _ = onion.unwrap(keys[-1].sk, action.data, L)
+        assert record.reply == onion.REPLY_ACK
+        assert payload is None and payload_ct == b""
+
+    def test_skipped_input_grad_leaves_parameter_updates_unchanged(self, keys):
+        _, with_dx, _, _, _ = self._one_iteration(keys)
+        _, without, _, _, _ = self._one_iteration(keys, input_grad=False)
+        for a, b in zip(with_dx, without):
+            for pa, pb in zip(a.params, b.params):
+                if pa is not None:
+                    assert pa[0].tobytes() == pb[0].tobytes()
+                    assert pa[1].tobytes() == pb[1].tobytes()
 
     def test_cache_cleared_after_backward(self, keys):
         _, states, _, _, _ = self._one_iteration(keys)

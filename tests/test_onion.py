@@ -265,6 +265,16 @@ class TestPackBackward:
         payload_ct, _ = onion.parse_packet(onion.pack_backward(cascade), L)
         assert payload_ct == b""
 
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_input_grad_flag_only_in_first_slot_record(self, keys, input_grad):
+        cascade = make_cascade(keys, SMALL)
+        pkt = onion.pack_backward(cascade, input_grad=input_grad)
+        flags = []
+        for i in (2, 1, 0):
+            record, _, pkt = unwrap(keys[i].sk, pkt, L)
+            flags.append(record.input_grad)
+        assert flags == [False, False, input_grad]
+
     def test_initial_grad_for_held_loss(self, keys):
         chains = [[nn.linear(8, 6), nn.relu()], [nn.linear(6, 4)]]
         specs = nn.make_layer_specs(chains + [[nn.nllloss()]], seed=5)
@@ -438,6 +448,15 @@ class TestRecordCodec:
         assert back == rec
 
 
+    def test_input_grad_is_tag_17_flag(self):
+        rec = onion.OnionRecord(op=OpCode.BACKWARD, input_grad=True)
+        assert onion.encode_record(rec) == bytes.fromhex("01" "00000001" "02"
+                                                         "11" "00000001" "01")
+        assert onion.decode_record(onion.encode_record(rec)) == rec
+        assert onion.encode_record(onion.OnionRecord(op=OpCode.BACKWARD)) == \
+            bytes.fromhex("01" "00000001" "02")
+
+
 class TestMatrixCopies:
     def test_float64_input_encodes_like_float32(self):
         m = np.random.default_rng(1).standard_normal((5, 7)).astype(np.float32)
@@ -476,6 +495,19 @@ class TestBufferReuse:
             assert pkt is not held and pkt is not view.obj
         assert bytes(held) == held_bytes and bytes(view.obj) == viewed_bytes
         assert view == b"d"
+
+    def test_no_reuse_without_the_gil(self, monkeypatch):
+        # refcount reads are whole only under the GIL; a free-threaded
+        # interpreter gets a fresh buffer every time
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+        # free buffers of the right length that only the pool holds
+        monkeypatch.setattr(onion, "_buffers", [bytearray(1024) for _ in range(4)])
+        pooled = {id(b) for b in onion._buffers}
+        for _ in range(3):  # build, drop, build again
+            pkt = onion.build_packet(b"a", b"b", 1024)
+            assert id(pkt) not in pooled
+            assert not any(pkt is b for b in onion._buffers)
+            del pkt
 
     def test_threads_never_share_a_buffer(self):
         deadline = time.monotonic() + 0.5
