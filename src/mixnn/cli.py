@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 2 usage/config error, 3 crash detected, 4 validation
 failed, 5 I/O error. Config files are `key = value` lines; # comments and
-blank lines are ignored; command-line flags override file values.
+blank lines are ignored.
 """
 
 import base64
@@ -14,6 +14,7 @@ import stat
 import sys
 
 import click
+import numpy as np
 
 from . import harness, nn, onion
 from .crypto import KEY_LEN, Address, KeyPair, KeyRecord, gen_keypair
@@ -63,11 +64,11 @@ def parse_model(text: str):
         chain = []
         for prim in layer_text.split(","):
             prim = prim.strip().lower()
-            if prim.startswith("linear:"):
+            if prim.startswith(nn.LINEAR + ":"):
                 dims = prim.split(":", 1)[1]
                 in_dim, _, out_dim = dims.partition("x")
                 chain.append(nn.linear(int(in_dim), int(out_dim)))
-            elif prim in ("relu", "logsoftmax", "nllloss", "identity"):
+            elif prim != nn.LINEAR and prim in nn.PRIMITIVE_KINDS:
                 chain.append(nn.PrimitiveOp(prim))
             else:
                 raise ConfigFileError(f"unknown primitive {prim!r} in model")
@@ -78,7 +79,7 @@ def parse_model(text: str):
 TABLE_MODEL = "linear:784x128,relu | linear:128x64,relu | linear:64x10 | logsoftmax | nllloss"
 
 
-def _load_dataset(cfg: dict, prefix: str = "") -> harness.Dataset:
+def _load_dataset(cfg: dict, prefix: str, seed: int) -> harness.Dataset:
     kind = cfg.get(prefix + "data", "synthetic")
     limit = int(cfg[prefix + "limit"]) if prefix + "limit" in cfg else None
     if limit is not None and limit < 1:
@@ -89,30 +90,48 @@ def _load_dataset(cfg: dict, prefix: str = "") -> harness.Dataset:
         ds = synthetic_two_gaussians(
             n=512 if limit is None else limit,
             dim=int(cfg.get("input_dim", 784)),
-            seed=int(cfg.get("data_seed", cfg.get("seed", 0))),
+            seed=seed,
         )
     else:
         raise ConfigFileError(f"unknown data kind {kind!r}")
     return ds
 
 
-def _datasets(cfg: dict):
-    """(training set, test set or None); scoring uses the test set if any."""
-    return _load_dataset(cfg), _load_dataset(cfg, "test_") if "test_data" in cfg else None
+def _datasets(cfg: dict, seed: int):
+    """(training set, test set or None); scoring uses the test set if any. A
+    synthetic test set comes from a seed stream the training set never uses."""
+    train = _load_dataset(cfg, "", seed)
+    if "test_data" not in cfg:
+        return train, None
+    holdout_seed = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+    return train, _load_dataset(cfg, "test_", holdout_seed)
+
+
+def _flag(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ConfigFileError(f"expected true or false, got {text!r}")
+    return value == "true"
+
+
+def _given(**fields) -> dict:
+    """Parse each (parse, text) field whose text the config file sets; the
+    callee's own defaults cover the fields it leaves out."""
+    return {name: parse(text) for name, (parse, text) in fields.items() if text is not None}
 
 
 def _training_config(cfg: dict) -> TrainingConfig:
-    return TrainingConfig(
-        epochs=int(cfg.get("epochs", 1)),
-        batch_size=int(cfg.get("batch_size", 64)),
-        learning_rate=float(cfg.get("learning_rate", 0.01)),
-        momentum=float(cfg.get("momentum", 0.9)),
-        seed=int(cfg.get("seed", 0)),
-        shuffle=cfg.get("shuffle", "true").lower() != "false",
-        time_bound_T=float(cfg["time_bound"]) if "time_bound" in cfg else None,
-        hold_first_layer=cfg.get("hold_first_layer", "false").lower() == "true",
-        hold_last_layer=cfg.get("hold_last_layer", "false").lower() == "true",
-    )
+    return TrainingConfig(**_given(
+        epochs=(int, cfg.get("epochs")),
+        batch_size=(int, cfg.get("batch_size")),
+        learning_rate=(float, cfg.get("learning_rate")),
+        momentum=(float, cfg.get("momentum")),
+        seed=(int, cfg.get("seed")),
+        shuffle=(_flag, cfg.get("shuffle")),
+        time_bound_T=(float, cfg.get("time_bound")),
+        hold_first_layer=(_flag, cfg.get("hold_first_layer")),
+        hold_last_layer=(_flag, cfg.get("hold_last_layer")),
+    ))
 
 
 @click.group()
@@ -213,13 +232,6 @@ def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
     _serve_until_signalled(server, f"node {runtime.state.node_id} listening on {server.address}")
 
 
-def _read_config(path: str, simulated: bool) -> dict:
-    cfg = parse_config(path)
-    if simulated:
-        cfg["mode"] = "simulated"
-    return cfg
-
-
 @contextlib.contextmanager
 def _exit_codes(out: str | None = None):
     """Turn a command's failure into its exit code; on a crash, the partial
@@ -249,16 +261,13 @@ def _initialized_cascade(cfg: dict):
     chains = parse_model(cfg.get("model", TABLE_MODEL))
     model = nn.make_layer_specs(chains, config.seed)
     remote = len(model) - int(config.hold_first_layer) - int(config.hold_last_layer)
-    plan = ProvisionPlan(
-        n=int(cfg.get("n", remote)),
-        p=int(cfg.get("p", remote)),
-        r=int(cfg.get("r", 0)),
-        selection_seed=int(cfg.get("selection_seed", cfg.get("seed", 0))),
-    )
+    r = int(cfg.get("r", 0))
+    plan = ProvisionPlan(n=remote + r, p=remote, r=r,
+                         selection_seed=int(cfg.get("selection_seed", config.seed)))
     mode = cfg.get("mode", "simulated")
     if mode == "simulated":
-        net = SimNet(latency=float(cfg.get("latency", 0.001)),
-                     proc_delay=float(cfg.get("proc_delay", 0.0005)))
+        net = SimNet(**_given(latency=(float, cfg.get("latency")),
+                              proc_delay=(float, cfg.get("proc_delay"))))
         dir_obj = Directory()
         pool = spawn_pool(net, int(cfg.get("pool_size", plan.n * 2 + 2)), dir_obj,
                           packet_len=packet_len)
@@ -280,7 +289,7 @@ def _initialized_cascade(cfg: dict):
         if "fault_plan" in cfg:
             with open(cfg["fault_plan"], encoding="utf-8") as f:
                 harness.inject_fault(harness.parse_fault_plan(f.read()), pool, cascade)
-        designer.send_designer_loop(cascade, timeout=float(cfg.get("loop_timeout", 30.0)))
+        designer.send_designer_loop(cascade, **_given(timeout=(float, cfg.get("time_bound"))))
         designer.initialize_model(cascade, config)
         yield designer, cascade, config
     finally:
@@ -289,7 +298,7 @@ def _initialized_cascade(cfg: dict):
 
 def _run_training(cfg: dict):
     with _initialized_cascade(cfg) as (designer, cascade, config):
-        train_ds, test_ds = _datasets(cfg)
+        train_ds, test_ds = _datasets(cfg, config.seed)
         metrics = designer.train(
             cascade, train_ds.images, train_ds.labels, config,
             test_data=test_ds.images if test_ds else None,
@@ -306,11 +315,10 @@ def _run_training(cfg: dict):
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", default=None, type=click.Path(), help="metrics CSV path")
-@click.option("--simulated", is_flag=True, help="force simulated transport")
-def train_cmd(config_path, out, simulated):
+def train_cmd(config_path, out):
     """Provision a cascade and run the training loop per the config file."""
     with _exit_codes(out):
-        metrics, verdict = _run_training(_read_config(config_path, simulated))
+        metrics, verdict = _run_training(parse_config(config_path))
     if out:
         harness.write_metrics(out, metrics)
     else:
@@ -322,13 +330,12 @@ def train_cmd(config_path, out, simulated):
 
 @main.command("test")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--simulated", is_flag=True, help="force simulated transport")
-def test_cmd(config_path, simulated):
+def test_cmd(config_path):
     """Train per config, then report test-set (else training-set) accuracy."""
     with _exit_codes():
-        cfg = _read_config(config_path, simulated)
+        cfg = parse_config(config_path)
         with _initialized_cascade(cfg) as (designer, cascade, config):
-            train_ds, test_ds = _datasets(cfg)
+            train_ds, test_ds = _datasets(cfg, config.seed)
             designer.train(cascade, train_ds.images, train_ds.labels, config)
             holdout = test_ds or train_ds
             accuracy = designer.test(cascade, holdout.images, holdout.labels,
@@ -345,7 +352,7 @@ def baseline_cmd(config_path, out):
         cfg = parse_config(config_path)
         config = _training_config(cfg)
         model = nn.make_layer_specs(parse_model(cfg.get("model", TABLE_MODEL)), config.seed)
-        train_ds, test_ds = _datasets(cfg)
+        train_ds, test_ds = _datasets(cfg, config.seed)
         _, metrics = run_baseline(
             model, train_ds.images, train_ds.labels, config,
             test_data=test_ds.images if test_ds else None,

@@ -15,6 +15,8 @@ LOGSOFTMAX = "logsoftmax"
 NLLLOSS = "nllloss"
 IDENTITY = "identity"
 
+# the order fixes each kind's wire code in an INIT record (1 = linear, ...),
+# so a new kind goes at the end
 PRIMITIVE_KINDS = (LINEAR, RELU, LOGSOFTMAX, NLLLOSS, IDENTITY)
 
 

@@ -132,18 +132,15 @@ def do_init(state: NodeState, record: OnionRecord):
         state.role = ROLE_DUMMY
         state.spec = state.params = state.opt = None
     elif record.role == ROLE_ACTUAL:
-        if record.chain is None or record.seed is None:
-            raise ProtocolError("init record missing chain or seed")
+        if None in (record.chain, record.seed, record.learning_rate, record.momentum):
+            raise ProtocolError("init record missing chain, seed, learning_rate or momentum")
         spec = nn.LayerSpec(record.chain, seed=record.seed)
         params = nn.init_layer_params(spec)
         state.role = ROLE_ACTUAL
         state.spec = spec
         state.params = params
-        state.opt = nn.OptimizerState(
-            params,
-            learning_rate=record.learning_rate if record.learning_rate is not None else 0.01,
-            momentum=record.momentum if record.momentum is not None else 0.9,
-        )
+        state.opt = nn.OptimizerState(params, learning_rate=record.learning_rate,
+                                      momentum=record.momentum)
     else:
         raise ProtocolError(f"init record with role {record.role!r}")
     state.cache = None

@@ -61,7 +61,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import crypto
 from .crypto import Address
-from .nn import LINEAR, PrimitiveOp, LayerSpec
+from .nn import LINEAR, PRIMITIVE_KINDS, PrimitiveOp, LayerSpec
 
 MAGIC = b"MXNN"
 VERSION = 2
@@ -123,8 +123,9 @@ class OnionRecord:
     input_grad: bool = False
 
 
-_KIND_CODES = {"linear": 1, "relu": 2, "logsoftmax": 3, "nllloss": 4, "identity": 5}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+# wire codes 1, 2, ... follow the order of nn.PRIMITIVE_KINDS
+_KIND_CODES = {kind: code for code, kind in enumerate(PRIMITIVE_KINDS, 1)}
+_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 def encode_chain(chain) -> bytes:

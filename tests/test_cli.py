@@ -1,16 +1,20 @@
 import base64
 import os
+import re
 import signal
 import stat
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mixnn import cli
 from mixnn.crypto import gen_keypair, open_sealed, seal
+from mixnn.designer import Designer
 from mixnn.directory import Directory
 from mixnn.harness import DirectoryClient, DirectoryServer, spawn_pool
 
@@ -139,12 +143,32 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigFileError):
             cli.parse_model("linear:4x2, sigmoid")
 
+    def test_booleans_in_any_case(self):
+        config = cli._training_config({"shuffle": "FALSE", "hold_first_layer": "True"})
+        assert (config.shuffle, config.hold_first_layer, config.hold_last_layer) == \
+            (False, True, False)
+
+    def test_readme_schema_names_the_keys_cli_reads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("### Config file schema", 1)[1].split("\n#", 1)[0]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", line.split(" | ")[0]))
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r'cfg\.get\("(\w+)"', source))
+        read.update(re.findall(r'cfg\["(\w+)"\]', source))
+        read.update(re.findall(r'"(\w+)" in cfg', source))
+        for key in re.findall(r'prefix \+ "(\w+)"', source):
+            read.update((key, "test_" + key))
+        assert documented == read
+
 
 class TestTrainCommand:
     def test_simulated_smoke_run_exits_zero(self, tmp_path):
         runner = CliRunner()
         cfg = write(tmp_path, "sim.cfg", SIM_CONFIG)
-        result = runner.invoke(cli.main, ["train", "--config", cfg, "--simulated"])
+        result = runner.invoke(cli.main, ["train", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("epoch,loss_mean,accuracy,wall_seconds")
 
@@ -172,6 +196,28 @@ class TestTrainCommand:
         result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
         assert result.exit_code == 4, result.output
 
+    def test_dummy_relay_needs_no_n_or_p(self, tmp_path, monkeypatch):
+        # n and p follow from the model and r; a dummy relays without
+        # touching the arithmetic, so the losses still equal the oracle's
+        sessions = []
+        provision = Designer.provision
+
+        def recording_provision(*args, **kwargs):
+            sessions.append(provision(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(Designer, "provision", recording_provision)
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("n = 5\np = 5\nr = 0\n", "r = 1\n"))
+        runner = CliRunner()
+        train = runner.invoke(cli.main, ["train", "--config", cfg])
+        assert train.exit_code == 0, train.output
+        entries = sessions[0].entries
+        assert len(entries) == 6 and sum(e.layer is None for e in entries) == 1
+        baseline = runner.invoke(cli.main, ["baseline", "--config", cfg])
+        assert baseline.exit_code == 0, baseline.output
+        loss_mean = [r.output.splitlines()[1].split(",")[1] for r in (train, baseline)]
+        assert loss_mean[0] == loss_mean[1]
+
     def test_metrics_file_output(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg", SIM_CONFIG)
         out = str(tmp_path / "metrics.csv")
@@ -182,8 +228,8 @@ class TestTrainCommand:
 
 class TestTestCommand:
     def test_simulated_run_prints_accuracy(self, tmp_path):
-        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("mode = simulated", "mode = socket"))
-        result = CliRunner().invoke(cli.main, ["test", "--config", cfg, "--simulated"])
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG)
+        result = CliRunner().invoke(cli.main, ["test", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("accuracy=")
         assert 0.0 <= float(result.output.strip().split("=", 1)[1]) <= 1.0
@@ -252,9 +298,17 @@ class TestMalformedConfig:
     ])
     def test_limit_below_one_is_config_error(self, tmp_path, extra, key):
         cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + extra)
-        result = CliRunner().invoke(cli.main, ["train", "--simulated", "--config", cfg])
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output and key in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("extra", ["shuffle = no\n", "hold_last_layer = yes\n"])
+    def test_boolean_other_than_true_or_false_is_config_error(self, tmp_path, extra):
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + extra)
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
         assert "Traceback" not in result.output
 
     def test_one_pixel_synthetic_input_is_config_error(self, tmp_path):
@@ -286,6 +340,14 @@ class TestBaselineAndCompare:
         result = runner.invoke(cli.main, ["compare", "--metrics", a, b])
         assert result.exit_code == 0, result.output
         assert "max_delta=0.000000" in result.output
+
+    def test_synthetic_holdout_is_not_the_training_set(self, tmp_path):
+        cfg = cli.parse_config(write(tmp_path, "sim.cfg", SIM_CONFIG
+                                     + "test_data = synthetic\ntest_limit = 96\n"))
+        train, holdout = cli._datasets(cfg, 7)
+        assert train.images.shape == holdout.images.shape
+        shared = (holdout.images[:, None, :] == train.images[None, :, :]).all(axis=2)
+        assert not shared.any()
 
     def test_identical_files_compare_clean(self, tmp_path):
         path = write(tmp_path, "m.csv",

@@ -116,6 +116,23 @@ class TestInit:
         assert payload is None
 
 
+    @pytest.mark.parametrize("missing", ["learning_rate", "momentum"])
+    def test_init_without_optimizer_setting_dropped(self, keys, missing):
+        # pack_init always writes both, so a node has no value to fall back on
+        _, states = build(keys, SMALL)
+        settings = {"learning_rate": 0.05, "momentum": 0.5}
+        del settings[missing]
+        record = onion.OnionRecord(op=OpCode.INIT, role=onion.ROLE_ACTUAL,
+                                   chain=[nn.linear(8, 6), nn.relu()], seed=1,
+                                   return_addr=Address("d.test", 6000),
+                                   return_pk=keys[-1].pk, **settings)
+        pkt = onion.build_packet(b"", seal(keys[0].pk, onion.encode_record(record)), L)
+        action = handle_packet(states[0], pkt)
+        assert isinstance(action, Drop) and "protocol-error" in action.reason
+        assert states[0].role == node.ROLE_UNINIT
+        assert states[0].params is None and states[0].opt is None
+
+
 class TestStateMachine:
     def test_forward_before_init_rejected(self, keys):
         cascade, states = build(keys, SMALL)
