@@ -36,7 +36,9 @@ class ConfigFileError(Exception):
 
 
 def parse_config(path: str) -> dict:
-    """key = value lines; every error names its line number."""
+    """key = value lines, values kept as text; every error names its line
+    number. A value that _PARSERS cannot parse is an error that also names
+    its key, so it fails before any set-up."""
     values = {}
     try:
         with open(path, encoding="utf-8") as f:
@@ -50,7 +52,13 @@ def parse_config(path: str) -> dict:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ConfigFileError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
-        values[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in _PARSERS:
+            try:
+                _PARSERS[key](value)
+            except ValueError as exc:
+                raise ConfigFileError(f"{path}:{lineno}: {key} = {value!r}: {exc}") from None
+        values[key] = value
     return values
 
 
@@ -110,8 +118,20 @@ def _datasets(cfg: dict, seed: int):
 def _flag(text: str) -> bool:
     value = text.lower()
     if value not in ("true", "false"):
-        raise ConfigFileError(f"expected true or false, got {text!r}")
+        raise ValueError(f"expected true or false, got {text!r}")
     return value == "true"
+
+
+# how each key that is not free text parses, as the readers below parse it
+_PARSERS = {
+    **dict.fromkeys(("epochs", "batch_size", "seed", "packet_len", "r", "selection_seed",
+                     "pool_size", "limit", "test_limit", "input_dim"), int),
+    **dict.fromkeys(("learning_rate", "momentum", "time_bound", "latency", "proc_delay",
+                     "threshold"), float),
+    **dict.fromkeys(("shuffle", "hold_first_layer", "hold_last_layer"), _flag),
+    "model": parse_model,
+    "directory": Address.parse,
+}
 
 
 def _given(**fields) -> dict:
@@ -225,7 +245,7 @@ def node_cmd(listen, key_path, directory_addr, node_id, packet_len):
         runtime.state.node_id = str(server.address)
     try:
         client = DirectoryClient(Address.parse(directory_addr))
-        client.register(KeyRecord(runtime.state.node_id, server.address, kp.pk, {}))
+        client.register(KeyRecord(runtime.state.node_id, server.address, kp.pk))
     except Exception as exc:
         click.echo(f"registration failed: {exc}", err=True)
         sys.exit(EXIT_USAGE)

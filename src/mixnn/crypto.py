@@ -72,30 +72,25 @@ class KeyPair:
 
 @dataclass
 class KeyRecord:
+    """One directory entry: `node_id address pk`, three fields with no
+    whitespace inside any of them."""
     node_id: str
     address: Address
     pk: bytes
-    metadata: dict = field(default_factory=dict)
 
     def to_line(self) -> str:
-        meta = ";".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
-        return f"{self.node_id} {self.address} {base64.b64encode(self.pk).decode()} {meta}"
+        return f"{self.node_id} {self.address} {base64.b64encode(self.pk).decode()}"
 
     @classmethod
     def from_line(cls, line: str) -> "KeyRecord":
-        parts = line.split(" ", 3)
-        if len(parts) < 3:
+        parts = line.split()
+        if len(parts) != 3:
             raise ValueError(f"malformed key record: {line!r}")
-        node_id, addr, pk_b64 = parts[0], parts[1], parts[2]
-        meta = {}
-        if len(parts) == 4 and parts[3]:
-            for item in parts[3].split(";"):
-                k, _, v = item.partition("=")
-                meta[k] = v
+        node_id, addr, pk_b64 = parts
         pk = base64.b64decode(pk_b64)
         if len(pk) != KEY_LEN:
             raise ValueError(f"public key must be {KEY_LEN} bytes, got {len(pk)}")
-        return cls(node_id, Address.parse(addr), pk, meta)
+        return cls(node_id, Address.parse(addr), pk)
 
 
 def gen_keypair(seed: bytes | None = None) -> KeyPair:

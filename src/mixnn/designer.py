@@ -61,7 +61,6 @@ class ProvisionPlan:
     p: int
     r: int
     selection_seed: int = 0
-    dummy_positions: list | None = None  # 1-based interior slot indices
 
     def __post_init__(self):
         if self.n != self.p + self.r:
@@ -161,26 +160,19 @@ class Designer:
 
     @staticmethod
     def _place_dummies(remote, plan: ProvisionPlan, rng):
-        """Interleave r dummies strictly between the first and last actual
-        layers so boundary-holding semantics stay well defined."""
+        """Interleave r dummies, at seeded places, strictly between the first
+        and last actual layers so boundary-holding semantics stay well defined."""
         p = len(remote)
         if plan.r == 0:
             return list(remote)
         if p < 2:
             raise ConfigError("dummy layers need at least two actual layers to sit between")
-        if plan.dummy_positions is not None:
-            positions = sorted(plan.dummy_positions)
-            if len(positions) != plan.r:
-                raise ConfigError(f"{len(positions)} dummy positions for r={plan.r}")
-        else:
-            # a gap g in 1..p-1 means "after the g-th actual layer"
-            gaps = sorted(rng.integers(1, p, size=plan.r).tolist())
-            positions = [g + k + 1 for k, g in enumerate(gaps)]
+        # a gap g in 1..p-1 means "after the g-th actual layer"; the k-th
+        # dummy (0-based) after sorting lands at 0-based slot g + k
+        gaps = sorted(rng.integers(1, p, size=plan.r).tolist())
         slots = list(remote)
-        for pos in sorted(positions):
-            if not (1 <= pos - 1 <= len(slots) - 1):
-                raise ConfigError(f"dummy position {pos} not interior")
-            slots.insert(pos - 1, None)
+        for k, g in enumerate(gaps):
+            slots.insert(g + k, None)
         return slots
 
     def replace_cascade(self, old: Session, pool, model, plan: ProvisionPlan,
@@ -190,11 +182,8 @@ class Designer:
         Training must restart from scratch: the failed servers hold the only
         copies of their parameters and are gone.
         """
-        fresh_plan = ProvisionPlan(
-            n=plan.n, p=plan.p, r=plan.r,
-            selection_seed=plan.selection_seed + 1,
-            dummy_positions=plan.dummy_positions,
-        )
+        fresh_plan = ProvisionPlan(n=plan.n, p=plan.p, r=plan.r,
+                                   selection_seed=plan.selection_seed + 1)
         old_ids = [e.node_id for e in old.entries]
         return self.provision(pool, model, fresh_plan, config=config,
                               packet_len=old.packet_len, exclude_ids=old_ids)
@@ -294,37 +283,32 @@ class Designer:
             nn.layer_backward(cascade.held_first, *first, first_cache, dx0, input_grad=False)
         return loss
 
-    def predict(self, cascade: Session, data, end_slot: int | None = None,
-                batch_size: int = 64, config: TrainingConfig | None = None) -> np.ndarray:
-        """Log-probabilities (or end-slot activations) for data, batch by batch.
-
-        Default route runs through every remote hop and then any held last
-        layer, with loss steps acting as pass-throughs.
-        """
+    def predict(self, cascade: Session, data, batch_size: int = 64,
+                config: TrainingConfig | None = None) -> np.ndarray:
+        """Log-probabilities for data, batch by batch: through any held first
+        layer, every remote hop, then any held last layer, with loss steps
+        acting as pass-throughs."""
         data = nn.as_matrix(data)
         first, last = cascade.first_state, cascade.last_state
         deadline = self._deadline(cascade, config)
-        full_route = end_slot is None
-        end = cascade.n if full_route else end_slot
         outs = []
         for start in range(0, len(data), batch_size):
             x = data[start:start + batch_size]
             if first is not None:
                 x, _ = nn.layer_forward(cascade.held_first, first[0], x, train=False)
             self.channel.send(cascade.entries[0].address,
-                              onion.pack_test(cascade, x, end_slot=end))
+                              onion.pack_test(cascade, x, cascade.n))
             _, payload = self._await(cascade, onion.REPLY_OUTPUT, deadline)
             out = onion.decode_matrix(payload)
-            if full_route and last is not None:
+            if last is not None:
                 out, _ = nn.layer_forward(cascade.held_last, last[0], out, train=False)
             outs.append(out)
         return np.concatenate(outs, axis=0) if outs else np.zeros((0, 0), dtype=np.float32)
 
-    def test(self, cascade: Session, data, labels, end_slot: int | None = None,
-             batch_size: int = 64, config: TrainingConfig | None = None) -> float:
+    def test(self, cascade: Session, data, labels, batch_size: int = 64,
+             config: TrainingConfig | None = None) -> float:
         """Classification accuracy: proportion of correct argmax predictions."""
-        logp = self.predict(cascade, data, end_slot=end_slot, batch_size=batch_size,
-                            config=config)
+        logp = self.predict(cascade, data, batch_size=batch_size, config=config)
         predictions = np.argmax(logp, axis=1)
         return float(np.mean(predictions == np.asarray(labels)))
 

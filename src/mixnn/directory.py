@@ -1,13 +1,15 @@
-"""Registration authority: servers publish (pk, address, metadata), the
-designer queries the pool.
+"""Registration authority: servers publish (node_id, address, pk), the
+designer lists the whole pool.
 
 The in-process Directory object is the whole service; the socket flavour in
 the harness just speaks length-prefixed text frames in front of it:
 
-    request:  "REGISTER <record-line>"  |  "LIST"  |  "LIST k=v;k=v"
+    request:  "REGISTER <record-line>"  |  "LIST"
     response: "OK" | "ERR <message>" | "RECORDS\n<record-line>..."
 
-Secret keys never appear in records, frames, or the store file.
+A record line is `node_id address pk`: three fields, none holding
+whitespace, so a REGISTER cannot smuggle a second line into a listing or the
+store. Secret keys never appear in records, frames, or the store file.
 """
 
 import os
@@ -16,7 +18,7 @@ import threading
 from .crypto import KeyRecord
 
 
-class DirectoryConflict(Exception):
+class DirectoryConflict(ValueError):
     """node_id already registered with a different public key."""
 
 
@@ -49,17 +51,10 @@ class Directory:
         with self._lock:
             self._insert(rec, persist=True)
 
-    def list(self, metadata_filter: dict | None = None) -> list:
-        """All records in node_id order, optionally restricted to those whose
-        metadata matches every key=value in the filter."""
+    def list(self) -> list:
+        """All records in node_id order."""
         with self._lock:
-            records = [self._records[k] for k in sorted(self._records)]
-        if metadata_filter:
-            records = [
-                r for r in records
-                if all(r.metadata.get(k) == v for k, v in metadata_filter.items())
-            ]
-        return records
+            return [self._records[k] for k in sorted(self._records)]
 
     def __len__(self):
         return len(self._records)
@@ -71,20 +66,13 @@ def handle_frame(directory: Directory, request: str) -> str:
     if verb == "REGISTER":
         try:
             directory.register(KeyRecord.from_line(rest))
-        except DirectoryConflict as exc:
-            return f"ERR {exc}"
-        except ValueError as exc:
+        except ValueError as exc:  # DirectoryConflict too
             return f"ERR {exc}"
         return "OK"
     if verb == "LIST":
-        flt = None
         if rest:
-            flt = {}
-            for item in rest.split(";"):
-                k, _, v = item.partition("=")
-                flt[k] = v
-        lines = [r.to_line() for r in directory.list(flt)]
-        return "RECORDS\n" + "\n".join(lines)
+            return "ERR LIST takes no arguments"
+        return "RECORDS\n" + "\n".join(r.to_line() for r in directory.list())
     return f"ERR unknown verb {verb!r}"
 
 

@@ -51,7 +51,6 @@ class NodeRuntime:
         self.state = NodeState(node_id=node_id, keypair=keypair, packet_len=packet_len)
         self.killed = False
         self.kill_at_iteration = None
-        self.kill_at_time = None
         self.tamper_at_iteration = None
         self.extra_delay = 0.0
 
@@ -59,11 +58,8 @@ class NodeRuntime:
     def node_id(self):
         return self.state.node_id
 
-    def on_packet(self, src, data: bytes, now: float | None = None):
+    def on_packet(self, src, data: bytes):
         if self.killed:
-            return None
-        if self.kill_at_time is not None and now is not None and now >= self.kill_at_time:
-            self.killed = True
             return None
         if (self.kill_at_iteration is not None
                 and self.state.forward_count >= self.kill_at_iteration):
@@ -133,7 +129,7 @@ class SimNet:
         start = max(ev.at, simnode.free_at)
         done = start + self.proc_delay + simnode.runtime.extra_delay
         simnode.free_at = done
-        action = simnode.runtime.on_packet(ev.src, ev.data, now=ev.at)
+        action = simnode.runtime.on_packet(ev.src, ev.data)
         if action is not None:
             self.send(ev.dst, action.dst, action.data, at=done)
 
@@ -267,7 +263,7 @@ class SocketNodeServer(_AcceptLoop):
     def _serve(self, conn, peer):
         for data in _read_packets(conn, self.runtime.state.packet_len):
             with self._lock:
-                action = self.runtime.on_packet(peer, data, now=time.monotonic())
+                action = self.runtime.on_packet(peer, data)
             if action is not None:
                 try:
                     _dial(action.dst, action.data)
@@ -334,11 +330,8 @@ class DirectoryClient:
         if response != "OK":
             raise RuntimeError(response)
 
-    def list(self, metadata_filter: dict | None = None) -> list:
-        text = "LIST"
-        if metadata_filter:
-            text += " " + ";".join(f"{k}={v}" for k, v in sorted(metadata_filter.items()))
-        return directory_mod.parse_records_response(self._request(text))
+    def list(self) -> list:
+        return directory_mod.parse_records_response(self._request("LIST"))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def spawn_pool(fabric, m: int, directory, packet_len: int = onion.DEFAULT_PACKET
             server.start()
             servers.append(server)
             addr = server.address
-        rec = KeyRecord(node_id, addr, runtime.state.keypair.pk, {})
+        rec = KeyRecord(node_id, addr, runtime.state.keypair.pk)
         directory.register(rec)
         runtimes.append(runtime)
         records.append(rec)
@@ -400,7 +393,6 @@ class FaultAction:
     node: str  # node_id or "slot:<k>" (1-based cascade slot)
     action: str  # kill | delay | tamper
     at_iteration: int | None = None
-    at_time: float | None = None
     delay: float = 0.0
 
 
@@ -425,10 +417,9 @@ def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
             raise ValueError(f"fault plan entry node={act.node}: unknown node_id")
         rt = pool.runtimes[node_id]
         if act.action == "kill":
-            if act.at_iteration is None and act.at_time is None:
+            if act.at_iteration is None:
                 rt.killed = True
             rt.kill_at_iteration = act.at_iteration
-            rt.kill_at_time = act.at_time
         elif act.action == "delay":
             rt.extra_delay = act.delay
         elif act.action == "tamper":
@@ -437,9 +428,14 @@ def inject_fault(plan: FaultPlan, pool: Pool, cascade=None):
             raise ValueError(f"unknown fault action {act.action!r}")
 
 
+_FAULT_KEYS = ("node", "action", "at_iteration", "delay")
+
+
 def parse_fault_plan(text: str) -> FaultPlan:
     """One action per line: node=<id|slot:k> action=<kill|delay|tamper>
-    [at_iteration=N] [at_time=S] [delay=S]. Blank lines and # comments ok."""
+    [at_iteration=N] [delay=S]. A kill without at_iteration is immediate; a
+    delay adds S seconds to each of the node's packets. Blank lines and #
+    comments ok."""
     plan = FaultPlan()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -450,13 +446,14 @@ def parse_fault_plan(text: str) -> FaultPlan:
             k, sep, v = item.partition("=")
             if not sep:
                 raise ValueError(f"fault plan line {lineno}: bad token {item!r}")
+            if k not in _FAULT_KEYS:
+                raise ValueError(f"fault plan line {lineno}: unknown key {k!r}")
             kv[k] = v
         try:
             plan.actions.append(FaultAction(
                 node=kv["node"],
                 action=kv["action"],
                 at_iteration=int(kv["at_iteration"]) if "at_iteration" in kv else None,
-                at_time=float(kv["at_time"]) if "at_time" in kv else None,
                 delay=float(kv.get("delay", 0.0)),
             ))
         except KeyError as exc:

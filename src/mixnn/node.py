@@ -4,10 +4,10 @@ A node unwraps one onion layer, checks the op against its state once, in
 handle_packet, performs its DL or relay role, re-seals whatever it must
 forward, and hands back a single outbound (address, packet) action. Every
 route, INIT and the loop message included, ends at a last hop that answers
-the designer; a record that names neither a next hop nor a return address
-is dropped before any state changes. All state lives in NodeState; nothing
-here touches a transport, so the same logic runs under the simulated
-scheduler and real sockets.
+the designer; a record that names neither a next hop nor a return address,
+or names a key that is not KEY_LEN bytes, is dropped before any state
+changes. All state lives in NodeState; nothing here touches a transport, so
+the same logic runs under the simulated scheduler and real sockets.
 """
 
 import logging
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, onion
-from .crypto import Address, KeyPair, DecryptionError, seal
+from .crypto import KEY_LEN, Address, KeyPair, DecryptionError, seal
 from .onion import OpCode, OnionRecord, FramingError, ROLE_ACTUAL, ROLE_DUMMY
 
 log = logging.getLogger("mixnn.node")
@@ -69,6 +69,8 @@ def handle_packet(state: NodeState, packet: bytes, src: Address | None = None):
     try:
         if not _has_next_hop(record) and None in (record.return_addr, record.return_pk):
             raise ProtocolError(f"{op} record with nowhere to send")
+        if any(k is not None and len(k) != KEY_LEN for k in (record.next_pk, record.return_pk)):
+            raise ProtocolError(f"{op} record with a key that is not {KEY_LEN} bytes")
         if record.cover:
             action = _send_on_or_reply(state, record, onion.REPLY_COVER, None)
         elif record.op == OpCode.INIT:

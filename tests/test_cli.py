@@ -311,6 +311,19 @@ class TestMalformedConfig:
         assert "config error" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("key, value", [("epochs", "two"), ("shuffle", "no"),
+                                            ("threshold", "high")])
+    def test_malformed_value_error_names_its_key_before_training(self, tmp_path, monkeypatch,
+                                                                 key, value):
+        trained = []
+        monkeypatch.setattr(Designer, "train", lambda *args, **kw: trained.append(1))
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + f"{key} = {value}\n")
+        result = CliRunner().invoke(cli.main, ["train", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {cfg}:14: {key} = '{value}': " in result.output
+        assert "Traceback" not in result.output
+        assert trained == []
+
     def test_one_pixel_synthetic_input_is_config_error(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg", SIM_CONFIG + "input_dim = 1\n")
         result = CliRunner().invoke(cli.main, ["train", "--config", cfg])

@@ -133,16 +133,14 @@ class TestAddress:
 
 class TestKeyRecord:
     def test_line_roundtrip(self, keypair):
-        rec = KeyRecord("node-1", Address("10.0.0.1", 9000), keypair.pk,
-                        {"region": "x", "price": "2"})
+        rec = KeyRecord("node-1", Address("10.0.0.1", 9000), keypair.pk)
         back = KeyRecord.from_line(rec.to_line())
         assert back.node_id == rec.node_id
         assert back.address == rec.address
         assert back.pk == rec.pk
-        assert back.metadata == rec.metadata
 
     def test_record_never_holds_sk(self, keypair):
-        rec = KeyRecord("node-1", Address("10.0.0.1", 9000), keypair.pk, {})
+        rec = KeyRecord("node-1", Address("10.0.0.1", 9000), keypair.pk)
         assert keypair.sk not in rec.to_line().encode()
 
 

@@ -46,11 +46,6 @@ class TestProvision:
             assert cascade.entries[-1].layer is not None
             assert sum(e.layer is None for e in cascade.entries) == 3
 
-    def test_explicit_dummy_positions(self, sim_world):
-        plan = ProvisionPlan(n=6, p=5, r=1, selection_seed=1, dummy_positions=[3])
-        cascade = sim_world.cascade(small_model(), plan, small_config())
-        assert cascade.entries[2].layer is None
-
     def test_insufficient_pool(self, sim_world):
         with pytest.raises(ConfigError):
             sim_world.cascade(small_model(), plan_np(50, 50), small_config())
@@ -250,14 +245,6 @@ class TestTestPhase:
         expect = float(np.mean(np.argmax(logp, axis=1) == ds.labels))
         assert acc == expect
         assert acc <= 0.6  # nowhere near a trained model on this data
-
-    def test_end_slot_returns_that_layers_output(self, sim_world):
-        config = small_config()
-        cascade = sim_world.train_ready(small_model(), plan_np(5, 5), config)
-        ds = small_dataset(n=8)
-        out = sim_world.designer.predict(cascade, ds.images, end_slot=1,
-                                         batch_size=8, config=config)
-        assert out.shape == (8, 32)  # first layer's width
 
     def test_accuracy_equals_baseline_exactly(self, sim_world):
         config, model = small_config(epochs=1), small_model()

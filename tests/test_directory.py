@@ -12,8 +12,8 @@ from mixnn.directory import Directory, DirectoryConflict, handle_frame
 from mixnn.harness import DirectoryClient, DirectoryServer
 
 
-def rec(node_id, pk, port=9000, **meta):
-    return KeyRecord(node_id, Address("10.0.0.1", port), pk, meta)
+def rec(node_id, pk, port=9000):
+    return KeyRecord(node_id, Address("10.0.0.1", port), pk)
 
 
 class TestDirectory:
@@ -45,14 +45,6 @@ class TestDirectory:
         assert first == ["a", "b", "c"]
         assert [r.node_id for r in d.list()] == first
 
-    def test_metadata_filter_conjunctive(self, keypair):
-        d = Directory()
-        d.register(rec("a", keypair.pk, region="x", tier="1"))
-        d.register(rec("b", keypair.pk, region="x", tier="2"))
-        d.register(rec("c", keypair.pk, region="y", tier="1"))
-        assert [r.node_id for r in d.list({"region": "x"})] == ["a", "b"]
-        assert [r.node_id for r in d.list({"region": "x", "tier": "1"})] == ["a"]
-
     def test_monotone_growth(self, keypair):
         d = Directory()
         sizes = []
@@ -66,11 +58,10 @@ class TestPersistence:
     def test_replay_from_store(self, tmp_path, keypair):
         store = str(tmp_path / "records.txt")
         d = Directory(store_path=store)
-        d.register(rec("a", keypair.pk, region="x"))
+        d.register(rec("a", keypair.pk))
         d.register(rec("b", keypair.pk))
         reloaded = Directory(store_path=store)
         assert [r.node_id for r in reloaded.list()] == ["a", "b"]
-        assert reloaded.list()[0].metadata == {"region": "x"}
 
     def test_store_never_contains_sk(self, tmp_path, keypair):
         store = str(tmp_path / "records.txt")
@@ -83,7 +74,7 @@ class TestPersistence:
 class TestFrames:
     def test_register_and_list_frames(self, keypair):
         d = Directory()
-        r = rec("a", keypair.pk, region="x")
+        r = rec("a", keypair.pk)
         assert handle_frame(d, f"REGISTER {r.to_line()}") == "OK"
         response = handle_frame(d, "LIST")
         records = directory_mod.parse_records_response(response)
@@ -95,15 +86,35 @@ class TestFrames:
         response = handle_frame(d, f"REGISTER {rec('a', keypair2.pk).to_line()}")
         assert response.startswith("ERR")
 
-    def test_filtered_list_frame(self, keypair):
-        d = Directory()
-        handle_frame(d, f"REGISTER {rec('a', keypair.pk, region='x').to_line()}")
-        handle_frame(d, f"REGISTER {rec('b', keypair.pk, region='y').to_line()}")
-        records = directory_mod.parse_records_response(handle_frame(d, "LIST region=y"))
-        assert [r.node_id for r in records] == ["b"]
-
     def test_unknown_verb(self):
         assert handle_frame(Directory(), "DANCE").startswith("ERR")
+
+    def test_list_with_arguments_rejected(self):
+        assert handle_frame(Directory(), "LIST region=x") == "ERR LIST takes no arguments"
+
+    @pytest.mark.parametrize("node_id, address", [
+        ("evil\nx", "127.0.0.1:9001"),
+        ("evil\tx", "127.0.0.1:9001"),
+        ("a", "127.0.0.1\n:9001"),
+        ("a", "127.0.0.1\t:9001"),
+    ], ids=["newline-in-id", "tab-in-id", "newline-in-address", "tab-in-address"])
+    def test_register_with_whitespace_inside_a_field_rejected(self, tmp_path, keypair,
+                                                                node_id, address):
+        # one such record would break every later LIST and the store's reload
+        store = str(tmp_path / "records.txt")
+        d = Directory(store_path=store)
+        handle_frame(d, f"REGISTER {rec('good', keypair.pk).to_line()}")
+        pk_b64 = base64.b64encode(keypair.pk).decode()
+        assert handle_frame(d, f"REGISTER {node_id} {address} {pk_b64}").startswith("ERR")
+        listed = directory_mod.parse_records_response(handle_frame(d, "LIST"))
+        assert [r.node_id for r in listed] == ["good"]
+        assert [r.node_id for r in Directory(store_path=store).list()] == ["good"]
+
+    def test_store_line_with_trailing_space_loads(self, tmp_path, keypair):
+        # stores written by earlier versions end each record line in a space
+        store = tmp_path / "records.txt"
+        store.write_text(rec("a", keypair.pk).to_line() + " \n", encoding="utf-8")
+        assert [r.node_id for r in Directory(store_path=str(store)).list()] == ["a"]
 
     @pytest.mark.parametrize("key_len", [1, 294])  # 294: an RSA-2048 DER public key
     def test_register_rejects_key_not_32_bytes(self, key_len):

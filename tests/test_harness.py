@@ -238,6 +238,12 @@ class TestFaults:
         with pytest.raises(ValueError, match="line 1"):
             parse_fault_plan("nonsense without equals")
 
+    def test_parse_fault_plan_unknown_key(self):
+        # ignored, a timed kill's line would kill at once
+        from mixnn.harness import parse_fault_plan
+        with pytest.raises(ValueError, match="line 1: unknown key 'at_time'"):
+            parse_fault_plan("node=slot:2 action=kill at_time=3.0")
+
 
 class TestSocketFabric:
     def test_spawn_loop_teardown(self):

@@ -243,6 +243,48 @@ NEXT = Address("next.test", 7100)
 F, B, T = OpCode.FORWARD, OpCode.BACKWARD, OpCode.TEST
 
 
+def _forward_short_next_pk(keys, cascade, states):
+    record = onion.OnionRecord(op=F, next=NEXT, next_pk=b"abc", inner=b"\x00" * 64)
+    return 0, record, np.ones((2, 8), dtype=np.float32)
+
+
+def _forward_short_return_pk(keys, cascade, states):
+    record = onion.OnionRecord(op=F, labels=np.array([0, 1]), return_addr=NEXT,
+                               return_pk=b"abc")
+    return 2, record, np.ones((2, 4), dtype=np.float32)
+
+
+def _backward_short_next_pk(keys, cascade, states):
+    run_chain(cascade, states, onion.pack_forward(
+        cascade, np.ones((2, 8), dtype=np.float32), np.array([0, 1])), (0, 1, 2))
+    record = onion.OnionRecord(op=B, next=NEXT, next_pk=b"abc", inner=b"\x00" * 64)
+    return 1, record, np.full((2, 4), 0.5, dtype=np.float32)
+
+
+class TestKeyLength:
+    """A next or return key that is not 32 bytes cannot be sealed to, so the
+    hop drops the record before it computes, caches or counts anything."""
+
+    @pytest.mark.parametrize("setup", [_forward_short_next_pk, _forward_short_return_pk,
+                                       _backward_short_next_pk],
+                             ids=["forward-next-pk", "forward-return-pk", "backward-next-pk"])
+    def test_short_key_dropped_before_any_state_change(self, keys, setup):
+        cascade, states = build(keys, SMALL)
+        init_all(cascade, states)
+        slot, record, payload = setup(keys, cascade, states)
+        state = states[slot]
+        pkt = onion.build_packet(seal(keys[slot].pk, onion.encode_matrix(payload)),
+                                 seal(keys[slot].pk, onion.encode_record(record)), L)
+        params, _, cache = _snapshot(state)
+        counts = (state.forward_count, state.backward_count, state.compute_count)
+        action = handle_packet(state, pkt)
+        assert isinstance(action, Drop) and "32 bytes" in action.reason
+        assert state.cache is cache
+        assert (state.forward_count, state.backward_count, state.compute_count) == counts
+        for before, after in zip(params, _snapshot(state)[0], strict=True):
+            assert before.tobytes() == after.tobytes()
+
+
 class TestDispatch:
     """One row per distinct outcome of handle_packet for the compute ops:
     a Send to the next hop, a Send to the designer, or a Drop whose reason
